@@ -16,10 +16,13 @@ _LN2 = math.log(2.0)
 # digamma(1) = -(Euler-Mascheroni constant), 15 significant digits.
 PSI_ONE = -0.577215664901533
 
-# Canonical per-sample draw order within a stream. Every estimator consumes
-# (or skips) link batches in this order, so per-sample realizations are
-# aligned across estimators sharing a seed.
+# Canonical per-sample draw order within a stream. The channel bank draws
+# link batches in this order, so per-sample realizations are aligned across
+# estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
+
+# Links the broadcast cut (c1) stacks as raw matrices.
+_C1_LINKS = ("sr", "sd")
 
 
 @dataclass(frozen=True)
@@ -43,25 +46,24 @@ class ScenarioConfig:
     R_c: float = 5.5
 
     def __post_init__(self):
-        if self.P_s <= 0 or self.P_r <= 0:
-            raise ValueError("transmit powers must be > 0")
+        for name in ("P_s", "P_r", "alpha", "R_c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("N_s", "N_r", "M_r", "M_d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"antenna count {name} must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.R_c <= 0:
-            raise ValueError(f"R_c must be > 0, got {self.R_c}")
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Deterministic Monte Carlo setup: seed, sample count, stream count.
 
-    Sample i is served by stream (i mod streams); each stream owns an
-    independent counter-based generator keyed by (seed, stream id). When
-    samples is not divisible by streams the count is padded up so all
-    streams are equally loaded; samples_used reports the padded total.
+    Samples are split into equal contiguous blocks, one per stream, in
+    stream order; each stream owns an independent counter-based generator
+    keyed by (seed, stream id). When samples is not divisible by streams
+    the count is padded up so all streams are equally loaded;
+    samples_used reports the padded total.
     """
 
     seed: int = 42
@@ -154,43 +156,100 @@ def _link_models(scn: ScenarioConfig) -> dict[str, FadingModel]:
             "rd": scn.fading_rd, "rd2": scn.fading_rd}
 
 
-def draw_links(scn: ScenarioConfig, mc: McConfig,
-               need: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Draw normalized (unit-distance) link batches for the needed links.
+class ChannelBank:
+    """Unit-distance channel statistics for one scenario and McConfig.
 
-    Links preceding a needed link in the canonical order are skipped by
-    consuming the same amount of generator state, which keeps per-sample
-    draws aligned across estimators that need different link subsets.
-    Returns arrays of shape (samples_used, rows, cols), stream-major.
+    Channel draws do not depend on a probe's geometry, so a bank serves
+    every probe on the same antenna shapes, fading models and McConfig.
+    Each link is drawn the first time a probe needs it, together with any
+    link before it in the canonical order, so every stream still draws
+    sr, sd, rd, rd2 in turn and realizations do not depend on which bound
+    was asked for first. The bank keeps each link's per-sample Gram
+    matrices (their packed entries when the receive side is 2x2) and,
+    once c1 has been asked for, the raw sr and sd matrices it stacks.
     """
-    shapes = _link_shapes(scn)
-    models = _link_models(scn)
-    last = max(_LINK_ORDER.index(name) for name in need)
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in need}
-    per = mc.per_stream
-    for rng in stream_generators(mc):
-        for name in _LINK_ORDER[: last + 1]:
-            rows, cols = shapes[name]
-            if name in need:
-                parts[name].append(channel.sample_link_batch(
-                    models[name], per, rows, cols, 1.0, scn.alpha, rng))
-            else:
-                matrixkit.skip_complex_gaussian_batch(per, rows, cols, rng)
-    return {name: np.concatenate(blocks, axis=0) for name, blocks in parts.items()}
+
+    def __init__(self, scn: ScenarioConfig, mc: McConfig):
+        self.key = _bank_key(scn, mc)
+        self._mc = mc
+        self._shapes = _link_shapes(scn)
+        self._models = _link_models(scn)
+        self._restart(keep_raw=False)
+
+    def _restart(self, keep_raw: bool) -> None:
+        self._rngs = stream_generators(self._mc)
+        self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
+        self._grams: dict[str, np.ndarray] = {}
+        self._raw: dict[str, np.ndarray] = {}
+        self._keep_raw = keep_raw
+
+    def _draw_through(self, link: str) -> None:
+        stop = _LINK_ORDER.index(link) + 1
+        for name in _LINK_ORDER[self._drawn:stop]:
+            rows, cols = self._shapes[name]
+            # Unit distance: path loss is applied per probe, whatever alpha is.
+            H = np.concatenate([
+                channel.sample_link_batch(self._models[name], self._mc.per_stream,
+                                          rows, cols, 1.0, 1.0, rng)
+                for rng in self._rngs], axis=0)
+            if self._keep_raw and name in _C1_LINKS:
+                self._raw[name] = H
+            G = matrixkit.gram(H)
+            self._grams[name] = matrixkit.gram_entries_2x2(G) if rows == 2 else G
+        self._drawn = max(self._drawn, stop)
+
+    def gram(self, link: str) -> np.ndarray:
+        """Per-sample Gram statistic of a link at unit distance: packed
+        (4, n) entries for two receive antennas, else an (n, rows, rows)
+        stack."""
+        self._draw_through(link)
+        return self._grams[link]
+
+    def raw(self, link: str) -> np.ndarray:
+        """Unit-distance matrices of sr or sd, shape (n, rows, cols)."""
+        if not self._keep_raw:
+            # Links drawn so far kept no raw matrices: redraw them in order.
+            self._restart(keep_raw=True)
+        self._draw_through(link)
+        return self._raw[link]
+
+
+def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
+    # Fading models compare by identity, which is enough to share a bank
+    # between the probes of one run.
+    return (mc, tuple(_link_shapes(scn).values()),
+            scn.fading_sr, scn.fading_sd, scn.fading_rd)
+
+
+# The live bank. A probe reuses it when its key matches and replaces it
+# otherwise, so at most one bank is alive; cli.run releases it on return.
+_bank: ChannelBank | None = None
+
+
+def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
+    global _bank
+    key = _bank_key(scn, mc)
+    if _bank is None or _bank.key != key:
+        _bank = ChannelBank(scn, mc)
+    return _bank
+
+
+def release_bank() -> None:
+    """Drop the live channel bank, so the next probe draws afresh."""
+    global _bank
+    _bank = None
 
 
 def _check_distance(name: str, value: float) -> None:
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-# Link batches each bound statistic consumes.
-_BOUND_LINKS = {
-    "c1": ("sr", "sd"),
-    "c2": ("sd", "rd"),
-    "c3": ("sr",),
-    "coop": ("sd", "rd", "rd2"),
-}
+def _logdet(M: np.ndarray) -> np.ndarray:
+    # Packed 2x2 entries are (4, n); general Gram stacks are (n, m, m).
+    if M.ndim == 2:
+        return matrixkit.logdet_identity_plus_2x2(M)
+    return matrixkit.logdet_identity_plus_batch(M)
 
 
 def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
@@ -199,47 +258,44 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
                   P_r2: float | None = None) -> dict[str, np.ndarray]:
     """Requested per-realization bound arrays on common channel draws.
 
-    Only the links any requested bound consumes are drawn (earlier links in
-    the canonical order are skipped, not saved), so per-sample draws stay
-    aligned across arbitrary bound subsets under one seed.
+    Every bound is served from the live channel bank of (scn, mc): a probe
+    scales cached unit-distance statistics by its path loss and draws only
+    links no earlier probe has needed.
     """
-    links_needed = tuple(sorted(
-        {link for bound in need for link in _BOUND_LINKS[bound]},
-        key=_LINK_ORDER.index))
     for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
                         ("r_DR2", r_DR2)):
         if value is not None:
             _check_distance(name, value)
-    links = draw_links(scn, mc, links_needed)
+    bank = _bank_for(scn, mc)
     out: dict[str, np.ndarray] = {}
+
+    # c1 first: its raw matrices may restart the bank's draws.
+    if "c1" in need:
+        H_bc = np.concatenate([
+            r_D ** (-scn.alpha / 2.0) * bank.raw("sd"),
+            r_R ** (-scn.alpha / 2.0) * bank.raw("sr"),
+        ], axis=-2)
+        out["c1"] = matrixkit.logdet_identity_plus_batch(
+            (scn.P_s / scn.N_s) * matrixkit.gram(H_bc))
 
     if "c3" in need:
         a_sr = (scn.P_s / scn.N_s) * r_R ** (-scn.alpha)
-        out["c3"] = matrixkit.logdet_identity_plus_batch(
-            a_sr * matrixkit.gram(links["sr"]))
+        out["c3"] = _logdet(a_sr * bank.gram("sr"))
 
     mac = None
     if "c2" in need or "coop" in need:
         a_sd = (scn.P_s / scn.N_s) * r_D ** (-scn.alpha)
         a_rd = (scn.P_r / scn.N_r) * r_DR ** (-scn.alpha)
-        mac = a_sd * matrixkit.gram(links["sd"]) + a_rd * matrixkit.gram(links["rd"])
+        mac = a_sd * bank.gram("sd") + a_rd * bank.gram("rd")
     if "c2" in need:
-        out["c2"] = matrixkit.logdet_identity_plus_batch(mac)
+        out["c2"] = _logdet(mac)
     if "coop" in need:
         p2 = scn.P_r if P_r2 is None else P_r2
-        if p2 < 0:
+        if not p2 >= 0:
             raise ValueError(f"second relay power must be >= 0, got {p2}")
         a_rd2 = (p2 / scn.N_r) * r_DR2 ** (-scn.alpha)
-        out["coop"] = matrixkit.logdet_identity_plus_batch(
-            mac + a_rd2 * matrixkit.gram(links["rd2"]))
-
-    if "c1" in need:
-        H_bc = np.concatenate([
-            r_D ** (-scn.alpha / 2.0) * links["sd"],
-            r_R ** (-scn.alpha / 2.0) * links["sr"],
-        ], axis=-2)
-        out["c1"] = matrixkit.logdet_identity_plus_batch(
-            (scn.P_s / scn.N_s) * matrixkit.gram(H_bc))
+        # The third-relay term comes last, so P_r2 = 0 reproduces c2 exactly.
+        out["coop"] = _logdet(mac + a_rd2 * bank.gram("rd2"))
     return out
 
 

@@ -66,8 +66,9 @@ class FadingModel:
     los: LosPrototype | None = None
 
     def __post_init__(self):
-        if self.k_factor < 0:
-            raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
+        if not 0 <= self.k_factor < np.inf:
+            raise ValueError(
+                f"k_factor must be finite and >= 0, got {self.k_factor}")
         if self.k_factor > 0 and self.los is None:
             raise ValueError("Rician fading requires a LOS prototype")
 

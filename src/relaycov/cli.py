@@ -65,6 +65,13 @@ class SweepOptions:
     hata: HataParams = HataParams()
     exploit_symmetry: bool = True
 
+    def __post_init__(self):
+        for name in ("d_y", "sweep_start", "sweep_stop", "backoff",
+                     "relay_radius"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -235,7 +242,8 @@ def parse_config(text: str) -> RunManifest:
 def _field_from_message(message: str) -> str:
     for name in ("P_s", "P_r", "N_s", "N_r", "M_r", "M_d", "alpha", "R_c",
                  "k_factor", "seed", "samples", "streams", "r_lo", "r_hi",
-                 "tol", "max_iter", "A", "B"):
+                 "tol", "max_iter", "d_y", "sweep_start", "sweep_stop",
+                 "backoff", "relay_radius", "A", "B"):
         if name in message:
             return name
     return ""
@@ -422,10 +430,17 @@ _RUNNERS = {
 
 
 def run(manifest: RunManifest) -> int:
-    """Execute the manifest; returns 0 iff all requested outputs exist."""
+    """Execute the manifest; returns 0 iff all requested outputs exist.
+
+    The channel bank the run's probes share is released on return, so each
+    run pays for its own draws.
+    """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")
-    header, rows, extras = _RUNNERS[manifest.command](manifest)
+    try:
+        header, rows, extras = _RUNNERS[manifest.command](manifest)
+    finally:
+        capacity.release_bank()
     _write_csv(csv_path, header, rows)
     if manifest.emit_json:
         _write_dataset_json(csv_path, header, rows)

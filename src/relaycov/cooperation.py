@@ -41,8 +41,10 @@ class HataParams:
     B: float = 35.22
 
     def __post_init__(self):
-        if self.B <= 0:
-            raise ValueError(f"B must be > 0, got {self.B}")
+        if not math.isfinite(self.A):
+            raise ValueError(f"A must be finite, got {self.A}")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError(f"B must be finite and > 0, got {self.B}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ class SolverConfig:
     max_iter: int = 60
 
     def __post_init__(self):
+        for name in ("r_lo", "r_hi", "tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.r_lo < self.r_hi:
             raise ValueError(f"need r_lo < r_hi, got {self.r_lo} >= {self.r_hi}")
         if self.r_lo <= 0:
@@ -81,18 +85,27 @@ class CoverageRegion:
         return np.array([r for _, r in self.entries])
 
 
+def _meets(f: Callable[[float], float], x: float) -> bool:
+    """f(x) >= 0, raising FloatingPointError when f(x) is NaN."""
+    value = f(x)
+    if math.isnan(value):
+        raise FloatingPointError(f"objective is NaN at r={x!r}")
+    return value >= 0.0
+
+
 def bisect_largest(f: Callable[[float], float], lo: float, hi: float,
                    tol: float, max_iter: int) -> float:
     """Largest x in [lo, hi] with f(x) >= 0 for a nonincreasing f.
 
     Caller guarantees f(lo) >= 0 > f(hi). Terminates after at most
     ceil(log2((hi - lo) / tol)) halvings (or max_iter, whichever is
-    smaller) and returns the satisfying end of the final bracket.
+    smaller) and returns the satisfying end of the final bracket. A NaN
+    objective raises FloatingPointError.
     """
     it = 0
     while hi - lo > tol and it < max_iter:
         mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
+        if _meets(f, mid):
             lo = mid
         else:
             hi = mid
@@ -108,14 +121,15 @@ def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
     rate; every probe reuses the same seed (common random numbers), so the
     result is within solver.tol of that seed's true crossing.
 
-    Raises NoSolutionError when even r_lo misses the target and
-    BracketError when r_hi still meets it.
+    Raises NoSolutionError when even r_lo misses the target,
+    BracketError when r_hi still meets it, and FloatingPointError when
+    the rate is NaN.
     """
     f = lambda r: capacity.estimate_c3(scn, r, mc).mean - scn.R_c
-    if f(solver.r_lo) < 0.0:
+    if not _meets(f, solver.r_lo):
         raise NoSolutionError(
             f"rate {scn.R_c} unachievable at relay radius {solver.r_lo}")
-    if f(solver.r_hi) >= 0.0:
+    if _meets(f, solver.r_hi):
         raise BracketError(
             f"rate {scn.R_c} still achievable at r_hi={solver.r_hi}; widen the bracket")
     return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol, solver.max_iter)
@@ -147,12 +161,13 @@ def solve_ray(rate: Callable[[float, float], float], theta_D: float,
     """Largest destination radius along one ray meeting the rate target.
 
     Returns 0.0 when the target is unachievable even at r_lo; raises
-    BracketError when r_hi still meets it.
+    BracketError when r_hi still meets it and FloatingPointError when the
+    rate is NaN.
     """
     f = lambda r: rate(theta_D, r) - rate_target
-    if f(solver.r_lo) < 0.0:
+    if not _meets(f, solver.r_lo):
         return 0.0
-    if f(solver.r_hi) >= 0.0:
+    if _meets(f, solver.r_hi):
         raise BracketError(
             f"rate {rate_target} still achievable at r_hi={solver.r_hi}; "
             f"widen the bracket")

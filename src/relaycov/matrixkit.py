@@ -37,14 +37,6 @@ def sample_complex_gaussian_batch(n: int, rows: int, cols: int,
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
 
 
-def skip_complex_gaussian_batch(n: int, rows: int, cols: int,
-                                rng: np.random.Generator) -> None:
-    """Advance the stream exactly as sample_complex_gaussian_batch would."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
-    rng.standard_normal((n, rows, cols, 2))
-
-
 def gram(H: np.ndarray) -> np.ndarray:
     """Return H H^dagger, symmetrized so it is Hermitian to the last bit.
 
@@ -94,6 +86,32 @@ def logdet_identity_plus_batch(Ms: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(np.eye(n) + Ms)
     diag = np.diagonal(L, axis1=-2, axis2=-1).real
     return 2.0 * np.sum(np.log2(diag), axis=-1)
+
+
+def gram_entries_2x2(G: np.ndarray) -> np.ndarray:
+    """Pack a stack of 2x2 Hermitian matrices (..., 2, 2) into the real
+    array (4, ...) of their independent entries: G00, G11, Re G01, Im G01.
+
+    The packing is linear, so a weighted sum of Grams is the same weighted
+    sum of their packed entries.
+    """
+    return np.stack([G[..., 0, 0].real, G[..., 1, 1].real,
+                     G[..., 0, 1].real, G[..., 0, 1].imag])
+
+
+def logdet_identity_plus_2x2(M: np.ndarray) -> np.ndarray:
+    """log2 det(I + M) over 2x2 Hermitian PSD matrices packed by
+    gram_entries_2x2, in closed form: (1 + m00)(1 + m11) - |m01|^2.
+
+    Like the Cholesky route, raises numpy.linalg.LinAlgError when a
+    determinant is not finite and positive rather than returning NaN.
+    """
+    m00, m11, re, im = M
+    det = (1.0 + m00) * (1.0 + m11) - (re * re + im * im)
+    if not np.all((det > 0.0) & (det < np.inf)):
+        raise np.linalg.LinAlgError(
+            "I + M is not positive definite with a finite determinant")
+    return np.log2(det)
 
 
 def singular_values(H: np.ndarray) -> np.ndarray:

@@ -239,3 +239,18 @@ class TestMain:
         assert cli.main(["bounds", "--config", str(cfg), "--out", str(out_a)]) == 0
         assert cli.main(["bounds", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("key,value", [
+        ("P_s", "nan"), ("tol", "nan"), ("R_c", "inf")])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["optloc", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["field"] == key
+        assert not out.exists()

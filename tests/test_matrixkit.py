@@ -46,15 +46,6 @@ class TestSampleComplexGaussian:
         singles = [matrixkit.sample_complex_gaussian(2, 2, rng) for _ in range(3)]
         assert np.array_equal(batch, np.stack(singles))
 
-    def test_skip_advances_stream_identically(self):
-        rng_a = make_rng(9)
-        matrixkit.skip_complex_gaussian_batch(5, 2, 3, rng_a)
-        after_skip = matrixkit.sample_complex_gaussian(2, 2, rng_a)
-        rng_b = make_rng(9)
-        matrixkit.sample_complex_gaussian_batch(5, 2, 3, rng_b)
-        after_draw = matrixkit.sample_complex_gaussian(2, 2, rng_b)
-        assert np.array_equal(after_skip, after_draw)
-
 
 class TestLogdetIdentityPlus:
     def test_identity(self):
