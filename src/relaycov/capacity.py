@@ -25,6 +25,14 @@ _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 _C1_LINKS = ("sr", "sd")
 
 
+class ParameterError(ValueError):
+    """A configuration value was rejected; field names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Powers, antenna counts, path-loss exponent, per-link fading, target rate.
@@ -49,10 +57,11 @@ class ScenarioConfig:
         for name in ("P_s", "P_r", "alpha", "R_c"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+                raise ParameterError(
+                    name, f"{name} must be finite and > 0, got {value}")
         for name in ("N_s", "N_r", "M_r", "M_d"):
             if getattr(self, name) < 1:
-                raise ValueError(f"antenna count {name} must be >= 1")
+                raise ParameterError(name, f"antenna count {name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,11 @@ class McConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+            raise ParameterError(
+                "samples", f"samples must be >= 1, got {self.samples}")
         if self.streams < 1:
-            raise ValueError(f"streams must be >= 1, got {self.streams}")
+            raise ParameterError(
+                "streams", f"streams must be >= 1, got {self.streams}")
 
     @property
     def per_stream(self) -> int:
@@ -165,8 +176,10 @@ class ChannelBank:
     link before it in the canonical order, so every stream still draws
     sr, sd, rd, rd2 in turn and realizations do not depend on which bound
     was asked for first. The bank keeps each link's per-sample Gram
-    matrices (their packed entries when the receive side is 2x2) and,
-    once c1 has been asked for, the raw sr and sd matrices it stacks.
+    matrices (their packed entries when the receive side is 2x2, with the
+    quadratic-form coefficient rows built from them on first use), the
+    last c3 array it computed and, once c1 has been asked for, the raw sr
+    and sd matrices it stacks.
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
@@ -181,6 +194,8 @@ class ChannelBank:
         self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
         self._grams: dict[str, np.ndarray] = {}
         self._raw: dict[str, np.ndarray] = {}
+        self._rows: dict[str, np.ndarray] = {}
+        self._c3: tuple[float, np.ndarray] | None = None
         self._keep_raw = keep_raw
 
     def _draw_through(self, link: str) -> None:
@@ -194,8 +209,8 @@ class ChannelBank:
                 for rng in self._rngs], axis=0)
             if self._keep_raw and name in _C1_LINKS:
                 self._raw[name] = H
-            G = matrixkit.gram(H)
-            self._grams[name] = matrixkit.gram_entries_2x2(G) if rows == 2 else G
+            self._grams[name] = (matrixkit.gram_entries_2x2(H) if rows == 2
+                                 else matrixkit.gram(H))
         self._drawn = max(self._drawn, stop)
 
     def gram(self, link: str) -> np.ndarray:
@@ -204,6 +219,47 @@ class ChannelBank:
         stack."""
         self._draw_through(link)
         return self._grams[link]
+
+    def quadratic_rows(self, term: str) -> np.ndarray:
+        """Coefficient rows T (k, n) of a 2x2 log-det's quadratic form.
+
+        "sr": [tr, det] of the sr Gram, for monomials [a, a^2].
+        "mac": [tr sd, tr rd, det sd, det rd, <sd, rd>], for
+        [a_sd, a_rd, a_sd^2, a_rd^2, a_sd a_rd].
+        "rd2": the terms rd2 adds, [tr rd2, det rd2, <sd, rd2>, <rd, rd2>],
+        for [a_rd2, a_rd2^2, a_sd a_rd2, a_rd a_rd2].
+        """
+        if term in self._rows:
+            return self._rows[term]
+        det, mixed = matrixkit.det_2x2, matrixkit.mixed_discriminant_2x2
+        if term == "sr":
+            sr = self.gram("sr")
+            rows = [sr[0] + sr[1], det(sr)]
+        elif term == "mac":
+            sd, rd = self.gram("sd"), self.gram("rd")
+            rows = [sd[0] + sd[1], rd[0] + rd[1], det(sd), det(rd), mixed(sd, rd)]
+        else:
+            sd, rd, rd2 = self.gram("sd"), self.gram("rd"), self.gram("rd2")
+            rows = [rd2[0] + rd2[1], det(rd2), mixed(sd, rd2), mixed(rd, rd2)]
+        self._rows[term] = np.stack(rows)
+        return self._rows[term]
+
+    def c3(self, a_sr: float) -> np.ndarray:
+        """Per-sample relay-link rate log2 det(I + a_sr G_sr), read-only.
+
+        The last (a_sr, c3) pair is kept: a coverage sweep holds the relay
+        radius fixed, so its probes all share one c3 array.
+        """
+        if self._c3 is None or self._c3[0] != a_sr:
+            G = self.gram("sr")
+            if G.ndim == 2:
+                c3 = matrixkit.logdet_quadratic_2x2(
+                    np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr"))
+            else:
+                c3 = matrixkit.logdet_identity_plus_batch(a_sr * G)
+            c3.flags.writeable = False
+            self._c3 = (a_sr, c3)
+        return self._c3[1]
 
     def raw(self, link: str) -> np.ndarray:
         """Unit-distance matrices of sr or sd, shape (n, rows, cols)."""
@@ -245,13 +301,6 @@ def _check_distance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _logdet(M: np.ndarray) -> np.ndarray:
-    # Packed 2x2 entries are (4, n); general Gram stacks are (n, m, m).
-    if M.ndim == 2:
-        return matrixkit.logdet_identity_plus_2x2(M)
-    return matrixkit.logdet_identity_plus_batch(M)
-
-
 def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
                   r_R: float | None = None, r_D: float | None = None,
                   r_DR: float | None = None, r_DR2: float | None = None,
@@ -260,7 +309,9 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
 
     Every bound is served from the live channel bank of (scn, mc): a probe
     scales cached unit-distance statistics by its path loss and draws only
-    links no earlier probe has needed.
+    links no earlier probe has needed. With two receive antennas at the
+    destination, c2 and coop are quadratic forms in the scaled powers;
+    other sizes factor the weighted Gram sum by Cholesky.
     """
     for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
                         ("r_DR2", r_DR2)):
@@ -279,23 +330,35 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
             (scn.P_s / scn.N_s) * matrixkit.gram(H_bc))
 
     if "c3" in need:
-        a_sr = (scn.P_s / scn.N_s) * r_R ** (-scn.alpha)
-        out["c3"] = _logdet(a_sr * bank.gram("sr"))
+        out["c3"] = bank.c3((scn.P_s / scn.N_s) * r_R ** (-scn.alpha))
 
-    mac = None
-    if "c2" in need or "coop" in need:
-        a_sd = (scn.P_s / scn.N_s) * r_D ** (-scn.alpha)
-        a_rd = (scn.P_r / scn.N_r) * r_DR ** (-scn.alpha)
-        mac = a_sd * bank.gram("sd") + a_rd * bank.gram("rd")
-    if "c2" in need:
-        out["c2"] = _logdet(mac)
+    if "c2" not in need and "coop" not in need:
+        return out
+    a_sd = (scn.P_s / scn.N_s) * r_D ** (-scn.alpha)
+    a_rd = (scn.P_r / scn.N_r) * r_DR ** (-scn.alpha)
     if "coop" in need:
         p2 = scn.P_r if P_r2 is None else P_r2
         if not p2 >= 0:
             raise ValueError(f"second relay power must be >= 0, got {p2}")
         a_rd2 = (p2 / scn.N_r) * r_DR2 ** (-scn.alpha)
-        # The third-relay term comes last, so P_r2 = 0 reproduces c2 exactly.
-        out["coop"] = _logdet(mac + a_rd2 * bank.gram("rd2"))
+    # The second relay's terms come last in both routes, so P_r2 = 0
+    # reproduces c2 exactly.
+    if scn.M_d == 2:
+        w = np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd])
+        T = bank.quadratic_rows("mac")
+        if "c2" in need:
+            out["c2"] = matrixkit.logdet_quadratic_2x2(w, T)
+        if "coop" in need:
+            w2 = np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2, a_rd * a_rd2])
+            out["coop"] = matrixkit.logdet_quadratic_2x2(
+                w2, bank.quadratic_rows("rd2"), base=1.0 + w @ T)
+    else:
+        mac = a_sd * bank.gram("sd") + a_rd * bank.gram("rd")
+        if "c2" in need:
+            out["c2"] = matrixkit.logdet_identity_plus_batch(mac)
+        if "coop" in need:
+            out["coop"] = matrixkit.logdet_identity_plus_batch(
+                mac + a_rd2 * bank.gram("rd2"))
     return out
 
 
@@ -365,30 +428,22 @@ def resolve_distances(geom: NetworkGeometry) -> tuple[float, float, float]:
             max(r_DR, channel.MIN_LINK_DISTANCE))
 
 
-def df_rate(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
-            min_of_means: bool = False) -> BoundEstimate:
+def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
+            mc: McConfig) -> BoundEstimate:
     """Decode-and-forward achievable rate min(c3, c2) for the geometry.
 
-    The minimum is taken per realization before averaging (common draws);
-    min_of_means=True instead returns the smaller of the two Monte Carlo
-    means, with that component's standard error.
+    The minimum is taken per realization before averaging (common draws).
     """
     r_R, r_D, r_DR = resolve_distances(geom)
     arrays = _bound_arrays(scn, mc, ("c2", "c3"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    if min_of_means:
-        e3, e2 = summarize_samples(arrays["c3"]), summarize_samples(arrays["c2"])
-        return e3 if e3.mean <= e2.mean else e2
     return summarize_samples(np.minimum(arrays["c3"], arrays["c2"]))
 
 
-def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
-                 min_of_means: bool = False) -> BoundEstimate:
+def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry,
+                 mc: McConfig) -> BoundEstimate:
     """Cut-set upper bound min(c1, c2) for the geometry (common draws)."""
     r_R, r_D, r_DR = resolve_distances(geom)
     arrays = _bound_arrays(scn, mc, ("c1", "c2"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    if min_of_means:
-        e1, e2 = summarize_samples(arrays["c1"]), summarize_samples(arrays["c2"])
-        return e1 if e1.mean <= e2.mean else e2
     return summarize_samples(np.minimum(arrays["c1"], arrays["c2"]))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, capacity, cooperation, coverage
-from .capacity import McConfig, ScenarioConfig
+from .capacity import McConfig, ParameterError, ScenarioConfig
 from .channel import FadingModel, LosPrototype, NetworkGeometry
 from .cooperation import HataParams
 from .coverage import NoSolutionError, SolverConfig
@@ -70,7 +70,12 @@ class SweepOptions:
                      "relay_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ParameterError(name, f"{name} must be finite, got {value}")
+        if self.L < 1:
+            raise ParameterError("L", f"L must be >= 1, got {self.L}")
+        if self.backoff <= 0:
+            raise ParameterError(
+                "backoff", f"backoff must be > 0, got {self.backoff}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,10 @@ def parse_config(text: str) -> RunManifest:
                           f"metric must be 'df' or 'cutset', got {metric!r}")
 
     try:
+        hata = HataParams(A=take("hata_A", 120.0), B=take("hata_B", 35.22))
+    except ParameterError as exc:
+        raise ConfigError("validation", f"hata_{exc.field}", str(exc))
+    try:
         scenario = ScenarioConfig(
             P_s=take("P_s", 10.0), P_r=take("P_r", 10.0),
             N_s=take("N_s", 2), N_r=take("N_r", 2),
@@ -205,9 +214,6 @@ def parse_config(text: str) -> RunManifest:
             fading_rd=take("fading_rd", FadingModel.rayleigh()),
             R_c=take("R_c", 5.5),
         )
-    except ValueError as exc:
-        raise ConfigError("validation", _field_from_message(str(exc)), str(exc))
-    try:
         mc = McConfig(seed=take("seed", 42), samples=take("samples", 20000),
                       streams=take("streams", 1))
         solver = SolverConfig(r_lo=take("r_lo", 0.05), r_hi=take("r_hi", 10.0),
@@ -221,32 +227,18 @@ def parse_config(text: str) -> RunManifest:
             sweep_points=take("sweep_points", 21),
             backoff=take("backoff", 0.95), metric=metric,
             relay_radius=take("relay_radius", None),
-            hata=HataParams(A=take("hata_A", 120.0), B=take("hata_B", 35.22)),
+            hata=hata,
             exploit_symmetry=take("exploit_symmetry", True),
         )
-    except ValueError as exc:
-        raise ConfigError("validation", _field_from_message(str(exc)), str(exc))
-    if options.L < 1:
-        raise ConfigError("validation", "L", f"L must be >= 1, got {options.L}")
-    if options.backoff <= 0:
-        raise ConfigError("validation", "backoff",
-                          f"backoff must be > 0, got {options.backoff}")
+    except ParameterError as exc:
+        # These configs name their fields exactly as the config keys.
+        raise ConfigError("validation", exc.field, str(exc))
 
     return RunManifest(
         scenario=scenario, mc=mc, solver=solver, command=command,
         output_path=take("out", None), emit_json=bool(take("json", False)),
         options=options,
     )
-
-
-def _field_from_message(message: str) -> str:
-    for name in ("P_s", "P_r", "N_s", "N_r", "M_r", "M_d", "alpha", "R_c",
-                 "k_factor", "seed", "samples", "streams", "r_lo", "r_hi",
-                 "tol", "max_iter", "d_y", "sweep_start", "sweep_stop",
-                 "backoff", "relay_radius", "A", "B"):
-        if name in message:
-            return name
-    return ""
 
 
 def _fmt(x: float) -> str:

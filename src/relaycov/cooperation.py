@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, channel, coverage, matrixkit
-from .capacity import BoundEstimate, McConfig, ScenarioConfig, digamma
+from .capacity import (BoundEstimate, McConfig, ParameterError, ScenarioConfig,
+                       digamma)
 from .channel import NetworkGeometry
 from .coverage import CoverageRegion, SolverConfig
 
@@ -42,9 +43,9 @@ class HataParams:
 
     def __post_init__(self):
         if not math.isfinite(self.A):
-            raise ValueError(f"A must be finite, got {self.A}")
+            raise ParameterError("A", f"A must be finite, got {self.A}")
         if not (math.isfinite(self.B) and self.B > 0):
-            raise ValueError(f"B must be finite and > 0, got {self.B}")
+            raise ParameterError("B", f"B must be finite and > 0, got {self.B}")
 
 
 @dataclass(frozen=True)

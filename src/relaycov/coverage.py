@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from . import capacity
-from .capacity import McConfig, ScenarioConfig
+from .capacity import McConfig, ParameterError, ScenarioConfig
 from .channel import NetworkGeometry
 
 # Grid angles whose folded off-relay angles agree within this are treated
@@ -41,15 +41,17 @@ class SolverConfig:
         for name in ("r_lo", "r_hi", "tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ParameterError(name, f"{name} must be finite, got {value}")
         if not self.r_lo < self.r_hi:
-            raise ValueError(f"need r_lo < r_hi, got {self.r_lo} >= {self.r_hi}")
+            raise ParameterError(
+                "r_lo", f"need r_lo < r_hi, got {self.r_lo} >= {self.r_hi}")
         if self.r_lo <= 0:
-            raise ValueError(f"r_lo must be > 0, got {self.r_lo}")
+            raise ParameterError("r_lo", f"r_lo must be > 0, got {self.r_lo}")
         if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+            raise ParameterError("tol", f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ParameterError(
+                "max_iter", f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

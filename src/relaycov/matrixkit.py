@@ -88,33 +88,52 @@ def logdet_identity_plus_batch(Ms: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log2(diag), axis=-1)
 
 
-def gram_entries_2x2(G: np.ndarray) -> np.ndarray:
-    """Pack a stack of 2x2 Hermitian matrices (..., 2, 2) into the real
-    array (4, ...) of their independent entries: G00, G11, Re G01, Im G01.
+def gram_entries_2x2(H: np.ndarray) -> np.ndarray:
+    """Packed Grams of a stack of two-row matrices H (n, 2, cols): the real
+    array (4, n) of G00, G11, Re G01, Im G01 of G = H H^dagger.
 
-    The packing is linear, so a weighted sum of Grams is the same weighted
-    sum of their packed entries.
+    Built column by column from the real and imaginary parts, with no
+    complex matrix product. The packing is linear in G, so a weighted sum
+    of Grams is the same weighted sum of their packed entries.
     """
-    return np.stack([G[..., 0, 0].real, G[..., 1, 1].real,
-                     G[..., 0, 1].real, G[..., 0, 1].imag])
+    re, im = H.real, H.imag
+    out = np.zeros((4, H.shape[0]))
+    for c in range(H.shape[-1]):
+        a, b = re[:, 0, c], im[:, 0, c]
+        x, y = re[:, 1, c], im[:, 1, c]
+        out[0] += a * a + b * b
+        out[1] += x * x + y * y
+        out[2] += a * x + b * y
+        out[3] += b * x - a * y
+    return out
 
 
-def logdet_identity_plus_2x2(M: np.ndarray) -> np.ndarray:
-    """log2 det(I + M) over 2x2 Hermitian PSD matrices packed by
-    gram_entries_2x2, in closed form: (1 + m00)(1 + m11) - |m01|^2.
+def det_2x2(P: np.ndarray) -> np.ndarray:
+    """Determinants p00 p11 - |p01|^2 of 2x2 Hermitian stacks packed by
+    gram_entries_2x2."""
+    return P[0] * P[1] - (P[2] * P[2] + P[3] * P[3])
 
-    Like the Cholesky route, raises numpy.linalg.LinAlgError when a
+
+def mixed_discriminant_2x2(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """<P, Q> = p00 q11 + p11 q00 - 2 Re(p01 conj q01) of packed 2x2 stacks,
+    the cross term of det(P + Q) = det P + det Q + <P, Q>."""
+    return P[0] * Q[1] + P[1] * Q[0] - 2.0 * (P[2] * Q[2] + P[3] * Q[3])
+
+
+def logdet_quadratic_2x2(w: np.ndarray, T: np.ndarray,
+                         base: float | np.ndarray = 1.0) -> np.ndarray:
+    """log2(base + w @ T), in bits, for a determinant written as a quadratic
+    form in scalar powers.
+
+    For 2x2 Grams G_k, det(I + sum_k a_k G_k) = 1 + sum_k a_k tr G_k +
+    sum_k a_k^2 det G_k + sum_{k<l} a_k a_l <G_k, G_l>, so a probe needs
+    only the dot of its monomials w with per-sample coefficient rows T
+    (k, n). Like the Cholesky route, raises numpy.linalg.LinAlgError when a
     determinant is not finite and positive rather than returning NaN.
     """
-    m00, m11, re, im = M
-    det = (1.0 + m00) * (1.0 + m11) - (re * re + im * im)
-    if not np.all((det > 0.0) & (det < np.inf)):
+    det = base + w @ T
+    # min and max propagate NaN, so NaN fails the first comparison.
+    if not (det.min() > 0.0 and det.max() < np.inf):
         raise np.linalg.LinAlgError(
             "I + M is not positive definite with a finite determinant")
     return np.log2(det)
-
-
-def singular_values(H: np.ndarray) -> np.ndarray:
-    """Singular values of H in descending order; length min(rows, cols)."""
-    H = np.asarray(H, dtype=np.complex128)
-    return np.linalg.svd(H, compute_uv=False)

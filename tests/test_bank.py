@@ -1,5 +1,5 @@
 """Channel bank: brute-force oracles for the cached statistics, the 2x2
-closed form against the Cholesky route, and draw counts."""
+quadratic form against the Cholesky route, the c3 memo, and draw counts."""
 
 import math
 from dataclasses import replace
@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaycov import capacity, channel, cli, cooperation, matrixkit
+from relaycov import capacity, channel, cli, cooperation, coverage, matrixkit
 from relaycov.capacity import McConfig, ScenarioConfig, sample_bound_realizations
 from relaycov.channel import FadingModel, LosPrototype, resolve_los
 from relaycov.coverage import SolverConfig, optimal_relay_radius
@@ -103,6 +103,14 @@ class TestOracle:
             assert np.array_equal(getattr(late, bound), getattr(fresh, bound))
 
 
+def quadratic_rows(E1, E2):
+    """Coefficient rows of det(I + a G1 + b G2) for monomials
+    [a, b, a^2, b^2, ab], from packed Grams."""
+    return np.stack([E1[0] + E1[1], E2[0] + E2[1], matrixkit.det_2x2(E1),
+                     matrixkit.det_2x2(E2),
+                     matrixkit.mixed_discriminant_2x2(E1, E2)])
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("model", [
         FadingModel.rayleigh(), rician(PURE_LOS_K, "poor"),
@@ -110,22 +118,25 @@ class TestClosedForm:
     def test_matches_cholesky_per_sample(self, model):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([3, 0], dtype=np.uint64)))
-        G1, G2 = (matrixkit.gram(channel.sample_link_batch(
-            model, 5000, 2, 2, 1.0, 1.0, rng)) for _ in range(2))
-        E1, E2 = matrixkit.gram_entries_2x2(G1), matrixkit.gram_entries_2x2(G2)
+        H1, H2 = (channel.sample_link_batch(model, 5000, 2, 2, 1.0, 1.0, rng)
+                  for _ in range(2))
+        G1, G2 = matrixkit.gram(H1), matrixkit.gram(H2)
+        T = quadratic_rows(matrixkit.gram_entries_2x2(H1),
+                           matrixkit.gram_entries_2x2(H2))
         for a in (1e-3, 0.1, 1.0, 5.0, 50.0):
             for b in (0.0, 0.3, 20.0):
                 np.testing.assert_allclose(
-                    matrixkit.logdet_identity_plus_2x2(a * E1 + b * E2),
+                    matrixkit.logdet_quadratic_2x2(
+                        np.array([a, b, a * a, b * b, a * b]), T),
                     matrixkit.logdet_identity_plus_batch(a * G1 + b * G2),
                     rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
     def test_non_finite_or_nonpositive_determinant_raises(self, bad):
-        M = np.zeros((4, 3))
-        M[0, 1] = bad
+        T = np.zeros((2, 3))
+        T[0, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            matrixkit.logdet_identity_plus_2x2(M)
+            matrixkit.logdet_quadratic_2x2(np.array([1.0, 1.0]), T)
 
 
 @pytest.fixture
@@ -172,3 +183,57 @@ class TestDrawCounts:
         assert draws == [(500, 2, 2)]
         assert cli.run(manifest) == 0
         assert draws == [(500, 2, 2)] * 2
+
+
+@pytest.fixture
+def c3_kernel_calls(monkeypatch):
+    """Receive sizes of the log-det kernel calls that compute c3. In the
+    scenarios below, c3 is the only 2x2 quadratic form with two coefficient
+    rows and the only Cholesky call on 3x3 matrices."""
+    calls = []
+    quadratic = matrixkit.logdet_quadratic_2x2
+    cholesky = matrixkit.logdet_identity_plus_batch
+
+    def counting_quadratic(w, T, base=1.0):
+        if T.shape[0] == 2:
+            calls.append(2)
+        return quadratic(w, T, base)
+
+    def counting_cholesky(Ms):
+        if Ms.shape[-1] == 3:
+            calls.append(3)
+        return cholesky(Ms)
+
+    monkeypatch.setattr(matrixkit, "logdet_quadratic_2x2", counting_quadratic)
+    monkeypatch.setattr(matrixkit, "logdet_identity_plus_batch", counting_cholesky)
+    capacity.release_bank()
+    yield calls
+    capacity.release_bank()
+
+
+class TestC3Memo:
+    @pytest.mark.parametrize("scn,size", [
+        (ScenarioConfig(R_c=3.0), 2), (ScenarioConfig(M_r=3, R_c=3.0), 3)],
+        ids=["2x2", "3x2"])
+    def test_sweep_computes_c3_once(self, c3_kernel_calls, scn, size):
+        mc = McConfig(samples=400)
+        coverage.coverage_boundary(scn, 0.95, 4, 16, mc, SolverConfig())
+        cooperation.coop_coverage_boundary(scn, 0.95, 4, 16, mc, SolverConfig())
+        assert c3_kernel_calls == [size]
+        capacity.estimate_c3(scn, 0.9, mc)
+        capacity.estimate_c3(scn, 0.95, mc)
+        assert c3_kernel_calls == [size] * 3
+
+    def test_handed_out_c3_is_read_only(self):
+        scn, mc = ScenarioConfig(), McConfig(samples=300)
+        capacity.release_bank()
+        c3 = capacity.c3_samples(scn, 0.9, mc)
+        kept = c3.copy()
+        s = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
+        for arr in (c3, s.c3):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+        assert np.array_equal(capacity.c3_samples(scn, 0.9, mc), kept)
+        capacity.release_bank()

@@ -15,6 +15,7 @@ from relaycov.capacity import (
     estimate_c2,
     estimate_c3,
     high_snr_rate,
+    resolve_distances,
     sample_bound_realizations,
 )
 from relaycov.channel import FadingModel, LosPrototype, NetworkGeometry
@@ -201,14 +202,16 @@ class TestDfAndCutset:
         assert df["well"].mean() > df["poor"].mean()
         assert cs["well"].mean() > cs["poor"].mean()
 
-    def test_min_of_means_option(self):
+    def test_mean_of_min_below_min_of_means(self):
         scn = ScenarioConfig()
         geom = NetworkGeometry(0.95, 4, 1.5, 0.2)
         mc = McConfig(samples=5000)
+        r_R, r_D, r_DR = resolve_distances(geom)
         per_sample = df_rate(scn, geom, mc)
-        of_means = df_rate(scn, geom, mc, min_of_means=True)
+        of_means = min(estimate_c3(scn, r_R, mc).mean,
+                       estimate_c2(scn, r_D, r_DR, mc).mean)
         # E[min] <= min of expectations.
-        assert per_sample.mean <= of_means.mean + 1e-12
+        assert per_sample.mean <= of_means + 1e-12
 
     def test_monotone_in_distance_per_seed(self):
         scn = ScenarioConfig()

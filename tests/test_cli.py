@@ -254,3 +254,29 @@ class TestNonFiniteInput:
         assert err["error"] == "validation"
         assert err["field"] == key
         assert not out.exists()
+
+
+class TestRejectedKeyIsNamed:
+    # One rejected value per validated key; the JSON error must name the
+    # key as written in the config, not the parameter's attribute name.
+    @pytest.mark.parametrize("key,value", [
+        ("P_s", "-1"), ("P_r", "0"), ("alpha", "nan"), ("R_c", "inf"),
+        ("N_s", "0"), ("N_r", "0"), ("M_r", "0"), ("M_d", "0"),
+        ("samples", "0"), ("streams", "0"),
+        ("r_lo", "-1"), ("r_lo", "20"), ("r_hi", "nan"), ("tol", "0"),
+        ("max_iter", "0"),
+        ("L", "0"), ("d_y", "inf"), ("sweep_start", "nan"),
+        ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
+        ("relay_radius", "nan"), ("hata_A", "nan"), ("hata_B", "-1"),
+        ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["field"] == key
+        assert not out.exists()

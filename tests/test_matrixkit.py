@@ -99,29 +99,10 @@ class TestGram:
             G = matrixkit.gram(matrixkit.sample_complex_gaussian(4, 6, rng))
             assert matrixkit.hermitian_defect(G) <= 1e-12
 
-
-class TestSingularValues:
-    def test_well_conditioned(self):
-        assert np.allclose(matrixkit.singular_values(H_WELL), [np.sqrt(2), np.sqrt(2)])
-
-    def test_poorly_conditioned(self):
-        sv = matrixkit.singular_values(H_POOR)
-        assert sv == pytest.approx([2.0, 0.0], abs=1e-12)
-
-    def test_identity(self):
-        assert np.allclose(matrixkit.singular_values(np.eye(2)), [1.0, 1.0])
-
-    def test_count_and_order(self):
-        rng = make_rng(23)
-        H = matrixkit.sample_complex_gaussian(3, 5, rng)
-        sv = matrixkit.singular_values(H)
-        assert sv.shape == (3,)
-        assert np.all(np.diff(sv) <= 0)
-
-    def test_squares_are_gram_eigenvalues(self):
+    def test_eigenvalues_are_squared_singular_values(self):
         rng = make_rng(29)
         H = matrixkit.sample_complex_gaussian(4, 4, rng)
-        sv = matrixkit.singular_values(H)
+        sv = np.linalg.svd(H, compute_uv=False)
         eig = np.sort(np.linalg.eigvalsh(matrixkit.gram(H)))[::-1]
         assert np.allclose(sv ** 2, eig, atol=1e-9)
 
@@ -134,7 +115,7 @@ class TestProperties:
             H = matrixkit.sample_complex_gaussian(3, 4, rng)
             c = float(rng.uniform(0.1, 10.0))
             lhs = matrixkit.logdet_identity_plus(c * matrixkit.gram(H))
-            sv = matrixkit.singular_values(H)
+            sv = np.linalg.svd(H, compute_uv=False)
             rhs = float(np.sum(np.log2(1.0 + c * sv ** 2)))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
