@@ -22,7 +22,6 @@ from .channel import (
     NetworkGeometry,
     relay_dest_distance,
     resolve_los,
-    sample_link,
     sector_of,
 )
 from .cooperation import (
@@ -54,7 +53,7 @@ __all__ = [
     "cutset_bound", "df_rate", "estimate_c1", "estimate_c2", "estimate_c3",
     "high_snr_rate", "sample_bound_realizations",
     "FadingModel", "LosPrototype", "NetworkGeometry", "relay_dest_distance",
-    "resolve_los", "sample_link", "sector_of",
+    "resolve_los", "sector_of",
     "ExtensionFactors", "HataParams", "SumRateFit", "coop_coverage_boundary",
     "coop_high_snr_sum_rate", "estimate_coop_sum_rate", "extension_factor",
     "fit_k1_k2", "hata_path_loss", "jensen_sum_rate_bound", "low_snr_sum_rate",

@@ -16,13 +16,14 @@ _LN2 = math.log(2.0)
 # digamma(1) = -(Euler-Mascheroni constant), 15 significant digits.
 PSI_ONE = -0.577215664901533
 
-# Canonical per-sample draw order within a stream. The channel bank draws
-# link batches in this order, so per-sample realizations are aligned across
-# estimators sharing a seed.
+# Canonical draw order. The channel bank draws link batches in this order,
+# so per-sample realizations are aligned across estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 
-# Links the broadcast cut (c1) stacks as raw matrices.
-_C1_LINKS = ("sr", "sd")
+# Gram sides each link keeps: "tx" is H^dagger H, the source's cuts c1 and
+# c3; "rx" is H H^dagger, the destination's cut c2 and the coop sum-rate.
+_GRAM_SIDES = {"sr": ("tx",), "sd": ("tx", "rx"), "rd": ("rx",),
+               "rd2": ("rx",)}
 
 
 class ParameterError(ValueError):
@@ -66,34 +67,19 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Deterministic Monte Carlo setup: seed, sample count, stream count.
+    """Deterministic Monte Carlo setup: seed and sample count.
 
-    Samples are split into equal contiguous blocks, one per stream, in
-    stream order; each stream owns an independent counter-based generator
-    keyed by (seed, stream id). When samples is not divisible by streams
-    the count is padded up so all streams are equally loaded;
-    samples_used reports the padded total.
+    Every link is drawn from one counter-based Philox generator keyed by
+    (seed, 0).
     """
 
     seed: int = 42
     samples: int = 20000
-    streams: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ParameterError(
                 "samples", f"samples must be >= 1, got {self.samples}")
-        if self.streams < 1:
-            raise ParameterError(
-                "streams", f"streams must be >= 1, got {self.streams}")
-
-    @property
-    def per_stream(self) -> int:
-        return -(-self.samples // self.streams)
-
-    @property
-    def samples_used(self) -> int:
-        return self.per_stream * self.streams
 
 
 @dataclass(frozen=True)
@@ -107,26 +93,14 @@ class BoundEstimate:
 
 @dataclass(frozen=True)
 class BoundSamples:
-    """Per-realization bound values on common channel draws.
-
-    Arrays are ordered stream-major (all of stream 0, then stream 1, ...),
-    which is the deterministic reduction order of the estimators. coop is
-    present only when a second relay distance was supplied.
+    """Per-realization bound values on common channel draws, in draw
+    order. coop is present only when a second relay distance was supplied.
     """
 
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
     coop: np.ndarray | None = None
-
-
-def stream_generators(mc: McConfig) -> list[np.random.Generator]:
-    """One counter-based generator per stream, keyed by (seed, stream id)."""
-    key0 = mc.seed & _MASK64
-    return [
-        np.random.Generator(np.random.Philox(key=np.array([key0, s], dtype=np.uint64)))
-        for s in range(mc.streams)
-    ]
 
 
 def digamma(x: float) -> float:
@@ -173,13 +147,12 @@ class ChannelBank:
     Channel draws do not depend on a probe's geometry, so a bank serves
     every probe on the same antenna shapes, fading models and McConfig.
     Each link is drawn the first time a probe needs it, together with any
-    link before it in the canonical order, so every stream still draws
+    link before it in the canonical order, so the generator always draws
     sr, sd, rd, rd2 in turn and realizations do not depend on which bound
-    was asked for first. The bank keeps each link's per-sample Gram
-    matrices (their packed entries when the receive side is 2x2, with the
-    quadratic-form coefficient rows built from them on first use), the
-    last c3 array it computed and, once c1 has been asked for, the raw sr
-    and sd matrices it stacks.
+    was asked for first. The bank keeps only per-sample Gram matrices, on
+    the sides listed in _GRAM_SIDES (their packed entries when that side
+    has two antennas, with the quadratic-form coefficient rows built from
+    them on first use), and the last c3 array it computed.
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
@@ -187,45 +160,45 @@ class ChannelBank:
         self._mc = mc
         self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
-        self._restart(keep_raw=False)
-
-    def _restart(self, keep_raw: bool) -> None:
-        self._rngs = stream_generators(self._mc)
+        self._rng = np.random.Generator(np.random.Philox(
+            key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
         self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
-        self._grams: dict[str, np.ndarray] = {}
-        self._raw: dict[str, np.ndarray] = {}
+        self._grams: dict[tuple[str, str], np.ndarray] = {}
         self._rows: dict[str, np.ndarray] = {}
         self._c3: tuple[float, np.ndarray] | None = None
-        self._keep_raw = keep_raw
 
     def _draw_through(self, link: str) -> None:
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
             # Unit distance: path loss is applied per probe, whatever alpha is.
-            H = np.concatenate([
-                channel.sample_link_batch(self._models[name], self._mc.per_stream,
-                                          rows, cols, 1.0, 1.0, rng)
-                for rng in self._rngs], axis=0)
-            if self._keep_raw and name in _C1_LINKS:
-                self._raw[name] = H
-            self._grams[name] = (matrixkit.gram_entries_2x2(H) if rows == 2
-                                 else matrixkit.gram(H))
+            H = channel.sample_link_batch(self._models[name], self._mc.samples,
+                                          rows, cols, 1.0, 1.0, self._rng)
+            for side in _GRAM_SIDES[name]:
+                # The Gram of H^T is conj(H^dagger H); traces, determinants
+                # and log-dets do not change when every Gram is conjugated.
+                M = H if side == "rx" else np.swapaxes(H, -1, -2)
+                self._grams[name, side] = (
+                    matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
+                    else matrixkit.gram(M))
         self._drawn = max(self._drawn, stop)
 
-    def gram(self, link: str) -> np.ndarray:
-        """Per-sample Gram statistic of a link at unit distance: packed
-        (4, n) entries for two receive antennas, else an (n, rows, rows)
-        stack."""
+    def gram(self, link: str, side: str) -> np.ndarray:
+        """Per-sample Gram statistic of a link at unit distance on one side
+        ("tx" or "rx"): packed (4, n) entries when that side has two
+        antennas, else an (n, k, k) stack."""
         self._draw_through(link)
-        return self._grams[link]
+        return self._grams[link, side]
 
     def quadratic_rows(self, term: str) -> np.ndarray:
         """Coefficient rows T (k, n) of a 2x2 log-det's quadratic form.
 
-        "sr": [tr, det] of the sr Gram, for monomials [a, a^2].
-        "mac": [tr sd, tr rd, det sd, det rd, <sd, rd>], for
-        [a_sd, a_rd, a_sd^2, a_rd^2, a_sd a_rd].
+        "sr": [tr, det] of the sr transmit-side Gram, for monomials
+        [a, a^2].
+        "c1": the terms sd adds on the transmit side, [tr sd, det sd,
+        <sd, sr>], for [a_sd, a_sd^2, a_sd a_sr].
+        "mac": [tr sd, tr rd, det sd, det rd, <sd, rd>] on the receive
+        side, for [a_sd, a_rd, a_sd^2, a_rd^2, a_sd a_rd].
         "rd2": the terms rd2 adds, [tr rd2, det rd2, <sd, rd2>, <rd, rd2>],
         for [a_rd2, a_rd2^2, a_sd a_rd2, a_rd a_rd2].
         """
@@ -233,13 +206,17 @@ class ChannelBank:
             return self._rows[term]
         det, mixed = matrixkit.det_2x2, matrixkit.mixed_discriminant_2x2
         if term == "sr":
-            sr = self.gram("sr")
+            sr = self.gram("sr", "tx")
             rows = [sr[0] + sr[1], det(sr)]
+        elif term == "c1":
+            sr, sd = self.gram("sr", "tx"), self.gram("sd", "tx")
+            rows = [sd[0] + sd[1], det(sd), mixed(sd, sr)]
         elif term == "mac":
-            sd, rd = self.gram("sd"), self.gram("rd")
+            sd, rd = self.gram("sd", "rx"), self.gram("rd", "rx")
             rows = [sd[0] + sd[1], rd[0] + rd[1], det(sd), det(rd), mixed(sd, rd)]
         else:
-            sd, rd, rd2 = self.gram("sd"), self.gram("rd"), self.gram("rd2")
+            sd, rd = self.gram("sd", "rx"), self.gram("rd", "rx")
+            rd2 = self.gram("rd2", "rx")
             rows = [rd2[0] + rd2[1], det(rd2), mixed(sd, rd2), mixed(rd, rd2)]
         self._rows[term] = np.stack(rows)
         return self._rows[term]
@@ -251,7 +228,7 @@ class ChannelBank:
         radius fixed, so its probes all share one c3 array.
         """
         if self._c3 is None or self._c3[0] != a_sr:
-            G = self.gram("sr")
+            G = self.gram("sr", "tx")
             if G.ndim == 2:
                 c3 = matrixkit.logdet_quadratic_2x2(
                     np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr"))
@@ -261,13 +238,21 @@ class ChannelBank:
             self._c3 = (a_sr, c3)
         return self._c3[1]
 
-    def raw(self, link: str) -> np.ndarray:
-        """Unit-distance matrices of sr or sd, shape (n, rows, cols)."""
-        if not self._keep_raw:
-            # Links drawn so far kept no raw matrices: redraw them in order.
-            self._restart(keep_raw=True)
-        self._draw_through(link)
-        return self._raw[link]
+    def c1(self, a_sr: float, a_sd: float) -> np.ndarray:
+        """Per-sample broadcast-cut rate log2 det(I + a_sr G_sr + a_sd G_sd)
+        on transmit-side Grams.
+
+        At two transmit antennas sd's terms are added to c3's determinant,
+        so c1 >= c3 holds bit for bit.
+        """
+        G = self.gram("sr", "tx")
+        if G.ndim == 2:
+            base = 1.0 + np.array([a_sr, a_sr * a_sr]) @ self.quadratic_rows("sr")
+            return matrixkit.logdet_quadratic_2x2(
+                np.array([a_sd, a_sd * a_sd, a_sd * a_sr]),
+                self.quadratic_rows("c1"), base=base)
+        return matrixkit.logdet_identity_plus_batch(
+            a_sr * G + a_sd * self.gram("sd", "tx"))
 
 
 def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
@@ -309,9 +294,12 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
 
     Every bound is served from the live channel bank of (scn, mc): a probe
     scales cached unit-distance statistics by its path loss and draws only
-    links no earlier probe has needed. With two receive antennas at the
-    destination, c2 and coop are quadratic forms in the scaled powers;
-    other sizes factor the weighted Gram sum by Cholesky.
+    links no earlier probe has needed. c1 and c3 are the source's cuts on
+    transmit-side Grams: by Sylvester's identity the broadcast cut is
+    det(I + a_sd G_sd + a_sr G_sr). c2 and coop are the destination's on
+    receive-side Grams. With two antennas on that side each bound is a
+    quadratic form in the scaled powers; other sizes factor the weighted
+    Gram sum by Cholesky.
     """
     for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
                         ("r_DR2", r_DR2)):
@@ -320,21 +308,14 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
     bank = _bank_for(scn, mc)
     out: dict[str, np.ndarray] = {}
 
-    # c1 first: its raw matrices may restart the bank's draws.
+    a_s = scn.P_s / scn.N_s
     if "c1" in need:
-        H_bc = np.concatenate([
-            r_D ** (-scn.alpha / 2.0) * bank.raw("sd"),
-            r_R ** (-scn.alpha / 2.0) * bank.raw("sr"),
-        ], axis=-2)
-        out["c1"] = matrixkit.logdet_identity_plus_batch(
-            (scn.P_s / scn.N_s) * matrixkit.gram(H_bc))
-
+        out["c1"] = bank.c1(a_s * r_R ** (-scn.alpha), a_s * r_D ** (-scn.alpha))
     if "c3" in need:
-        out["c3"] = bank.c3((scn.P_s / scn.N_s) * r_R ** (-scn.alpha))
-
+        out["c3"] = bank.c3(a_s * r_R ** (-scn.alpha))
     if "c2" not in need and "coop" not in need:
         return out
-    a_sd = (scn.P_s / scn.N_s) * r_D ** (-scn.alpha)
+    a_sd = a_s * r_D ** (-scn.alpha)
     a_rd = (scn.P_r / scn.N_r) * r_DR ** (-scn.alpha)
     if "coop" in need:
         p2 = scn.P_r if P_r2 is None else P_r2
@@ -353,12 +334,12 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
             out["coop"] = matrixkit.logdet_quadratic_2x2(
                 w2, bank.quadratic_rows("rd2"), base=1.0 + w @ T)
     else:
-        mac = a_sd * bank.gram("sd") + a_rd * bank.gram("rd")
+        mac = a_sd * bank.gram("sd", "rx") + a_rd * bank.gram("rd", "rx")
         if "c2" in need:
             out["c2"] = matrixkit.logdet_identity_plus_batch(mac)
         if "coop" in need:
             out["coop"] = matrixkit.logdet_identity_plus_batch(
-                mac + a_rd2 * bank.gram("rd2"))
+                mac + a_rd2 * bank.gram("rd2", "rx"))
     return out
 
 

@@ -178,12 +178,6 @@ def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
     return distance ** (-alpha / 2.0) * h
 
 
-def sample_link(model: FadingModel, rows: int, cols: int, distance: float,
-                alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single channel matrix for one link (see sample_link_batch)."""
-    return sample_link_batch(model, 1, rows, cols, distance, alpha, rng)[0]
-
-
 def relay_dest_distance(r_D: float, r_R: float, phi: float) -> float:
     """Relay-destination separation by the law of cosines.
 

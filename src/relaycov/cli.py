@@ -27,8 +27,8 @@ _FLOAT_KEYS = {
 }
 _DB_KEYS = {"P_s", "P_r"}  # accept a "dB" suffix, converted to linear
 _INT_KEYS = {
-    "N_s", "N_r", "M_r", "M_d", "L", "seed", "samples", "streams",
-    "max_iter", "angular_steps", "sweep_points",
+    "N_s", "N_r", "M_r", "M_d", "L", "seed", "samples", "max_iter",
+    "angular_steps", "sweep_points",
 }
 _FADING_KEYS = {"fading_sr", "fading_sd", "fading_rd"}
 _STR_KEYS = {"command", "out", "metric"}
@@ -73,6 +73,14 @@ class SweepOptions:
                 raise ParameterError(name, f"{name} must be finite, got {value}")
         if self.L < 1:
             raise ParameterError("L", f"L must be >= 1, got {self.L}")
+        if self.angular_steps < 4 * self.L:
+            raise ParameterError(
+                "angular_steps", f"angular_steps must be >= 4*L to resolve "
+                f"the lobes, got {self.angular_steps} < {4 * self.L}")
+        if self.sweep_points < 1:
+            raise ParameterError(
+                "sweep_points",
+                f"sweep_points must be >= 1, got {self.sweep_points}")
         if self.backoff <= 0:
             raise ParameterError(
                 "backoff", f"backoff must be > 0, got {self.backoff}")
@@ -214,8 +222,7 @@ def parse_config(text: str) -> RunManifest:
             fading_rd=take("fading_rd", FadingModel.rayleigh()),
             R_c=take("R_c", 5.5),
         )
-        mc = McConfig(seed=take("seed", 42), samples=take("samples", 20000),
-                      streams=take("streams", 1))
+        mc = McConfig(seed=take("seed", 42), samples=take("samples", 20000))
         solver = SolverConfig(r_lo=take("r_lo", 0.05), r_hi=take("r_hi", 10.0),
                               tol=take("tol", 1e-3),
                               max_iter=take("max_iter", 60))
@@ -258,7 +265,6 @@ def _write_sidecar(csv_path: Path, manifest: RunManifest, extras: dict,
         "command": manifest.command,
         "seed": manifest.mc.seed,
         "samples": manifest.mc.samples,
-        "streams": manifest.mc.streams,
         "wall_time_s": wall_time,
         "csv": csv_path.name,
     }

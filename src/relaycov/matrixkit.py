@@ -7,27 +7,15 @@ All rates are in bits (log base 2).
 
 import numpy as np
 
-# Hermitian deviation allowed before a Gram-like input is rejected.
-HERMITIAN_TOL = 1e-9
-
-_LN2 = np.log(2.0)
-
-
-def sample_complex_gaussian(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one rows x cols matrix with i.i.d. CN(0, 1) entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so each complex
-    entry has unit variance.
-    """
-    return sample_complex_gaussian_batch(1, rows, cols, rng)[0]
-
 
 def sample_complex_gaussian_batch(n: int, rows: int, cols: int,
                                   rng: np.random.Generator) -> np.ndarray:
     """Draw n matrices of i.i.d. CN(0, 1) entries, shape (n, rows, cols).
 
-    Consumes the generator stream identically to n sequential single draws,
-    so batching never changes the realized values for a given seed.
+    Real and imaginary parts are independent N(0, 1/2), so each complex
+    entry has unit variance. Consumes the generator stream identically to
+    n sequential draws of one matrix, so batching never changes the
+    realized values for a given seed.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -48,37 +36,13 @@ def gram(H: np.ndarray) -> np.ndarray:
     return 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
 
 
-def hermitian_defect(M: np.ndarray) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose."""
-    return float(np.max(np.abs(M - np.conj(np.swapaxes(M, -1, -2)))))
-
-
-def logdet_identity_plus(M: np.ndarray) -> float:
-    """log2 det(I + M) for a square Hermitian PSD matrix M, in bits.
-
-    I + M is positive definite by construction, so the value is computed
-    from a Cholesky factorization and is always >= 0.
-
-    Raises ValueError for non-square input and numpy.linalg.LinAlgError
-    when M is not Hermitian within HERMITIAN_TOL (or not PSD enough for
-    the factorization to succeed).
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if hermitian_defect(M) > HERMITIAN_TOL:
-        raise np.linalg.LinAlgError(
-            f"matrix is not Hermitian within {HERMITIAN_TOL:g} "
-            f"(defect {hermitian_defect(M):.3e})")
-    return float(logdet_identity_plus_batch(M[np.newaxis])[0])
-
-
 def logdet_identity_plus_batch(Ms: np.ndarray) -> np.ndarray:
     """log2 det(I + M) over a stack of Hermitian PSD matrices (..., n, n).
 
     Hot path for the Monte Carlo estimators: symmetrize, add the identity,
-    Cholesky-factor, and sum the log of the diagonal. Matches
-    logdet_identity_plus bit for bit on each slice.
+    Cholesky-factor, and sum the log of the diagonal. I + M is positive
+    definite, so each value is >= 0; numpy.linalg.LinAlgError is raised
+    when the factorization fails.
     """
     Ms = np.asarray(Ms, dtype=np.complex128)
     Ms = 0.5 * (Ms + np.conj(np.swapaxes(Ms, -1, -2)))

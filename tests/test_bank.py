@@ -23,25 +23,25 @@ def rician(k, kind):
 
 
 def oracle_links(scn, mc):
-    """Fresh Philox draws, stream by stream, links in canonical order."""
+    """Fresh draws from one Philox generator keyed by (seed, 0), links in
+    canonical order."""
     shapes = {"sr": (scn.M_r, scn.N_s), "sd": (scn.M_d, scn.N_s),
               "rd": (scn.M_d, scn.N_r), "rd2": (scn.M_d, scn.N_r)}
     models = {"sr": scn.fading_sr, "sd": scn.fading_sd,
               "rd": scn.fading_rd, "rd2": scn.fading_rd}
-    blocks = {name: [] for name in shapes}
-    for stream in range(mc.streams):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([mc.seed, stream], dtype=np.uint64)))
-        for name in ("sr", "sd", "rd", "rd2"):
-            rows, cols = shapes[name]
-            z = rng.standard_normal((mc.per_stream, rows, cols, 2))
-            h = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-            k = models[name].k_factor
-            if k > 0:
-                los = resolve_los(models[name].los, rows, cols)
-                h = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * h
-            blocks[name].append(h)
-    return {name: np.concatenate(b) for name, b in blocks.items()}
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([mc.seed, 0], dtype=np.uint64)))
+    links = {}
+    for name in ("sr", "sd", "rd", "rd2"):
+        rows, cols = shapes[name]
+        z = rng.standard_normal((mc.samples, rows, cols, 2))
+        h = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+        k = models[name].k_factor
+        if k > 0:
+            los = resolve_los(models[name].los, rows, cols)
+            h = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * h
+        links[name] = h
+    return links
 
 
 def oracle_rate(terms):
@@ -63,11 +63,13 @@ SCENARIOS = {
 
 
 class TestOracle:
-    @pytest.mark.parametrize("streams", [1, 3])
+    # Two independent draw sets per shape. c1 is brute-forced from the
+    # stacked raw matrices, not through Sylvester's identity.
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_bounds_match_brute_force(self, name, streams):
+    def test_bounds_match_brute_force(self, name, seed):
         scn = ScenarioConfig(**SCENARIOS[name])
-        mc = McConfig(seed=11, samples=500, streams=streams)
+        mc = McConfig(seed=seed, samples=500)
         r_R, r_D, r_DR, r_DR2 = 0.9, 1.3, 0.7, 1.6
         s = sample_bound_realizations(scn, r_R, r_D, r_DR, mc, r_DR2=r_DR2)
 
@@ -84,13 +86,13 @@ class TestOracle:
         }
         for bound, values in want.items():
             got = getattr(s, bound)
-            assert got.shape == (mc.samples_used,)
+            assert got.shape == (mc.samples,)
             np.testing.assert_allclose(got, values, rtol=0, atol=1e-11,
                                        err_msg=bound)
 
     def test_request_order_does_not_change_draws(self):
         scn = ScenarioConfig(N_s=3, M_r=3)
-        mc = McConfig(seed=5, samples=300, streams=2)
+        mc = McConfig(seed=5, samples=300)
         capacity.release_bank()
         coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         c3 = capacity.c3_samples(scn, 0.9, mc)
@@ -184,12 +186,21 @@ class TestDrawCounts:
         assert cli.run(manifest) == 0
         assert draws == [(500, 2, 2)] * 2
 
+    def test_cutset_coverage_draws_each_link_once(self, draws, tmp_path):
+        # The relay-radius solve draws sr; c1 then reuses sr's Gram and
+        # draws sd once for both of its sides.
+        cfg = tmp_path / "cutset.cfg"
+        cfg.write_text("samples=400\nN_s=1\nM_r=3\nR_c=3.0\nmetric=cutset\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert draws == [(400, 3, 1), (400, 2, 1), (400, 2, 2)]
+
 
 @pytest.fixture
 def c3_kernel_calls(monkeypatch):
-    """Receive sizes of the log-det kernel calls that compute c3. In the
-    scenarios below, c3 is the only 2x2 quadratic form with two coefficient
-    rows and the only Cholesky call on 3x3 matrices."""
+    """Sizes of the log-det kernel calls that compute c3. In the scenarios
+    below, c3 is the only 2x2 quadratic form with two coefficient rows and
+    the only Cholesky call on 3x3 matrices."""
     calls = []
     quadratic = matrixkit.logdet_quadratic_2x2
     cholesky = matrixkit.logdet_identity_plus_batch
@@ -213,7 +224,7 @@ def c3_kernel_calls(monkeypatch):
 
 class TestC3Memo:
     @pytest.mark.parametrize("scn,size", [
-        (ScenarioConfig(R_c=3.0), 2), (ScenarioConfig(M_r=3, R_c=3.0), 3)],
+        (ScenarioConfig(R_c=3.0), 2), (ScenarioConfig(N_s=3, R_c=3.0), 3)],
         ids=["2x2", "3x2"])
     def test_sweep_computes_c3_once(self, c3_kernel_calls, scn, size):
         mc = McConfig(samples=400)

@@ -42,19 +42,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ScenarioConfig(P_s=0.0)
 
-    def test_mc_pad_up(self):
-        mc = McConfig(seed=1, samples=7, streams=3)
-        assert mc.per_stream == 3
-        assert mc.samples_used == 9
-
     def test_mc_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0)
-        with pytest.raises(ValueError):
-            McConfig(streams=0)
 
     def test_negative_seed_accepted(self):
-        # 64-bit seeds, negative values included, key the streams stably.
+        # 64-bit seeds, negative values included, key the generator stably.
         est = estimate_c3(ScenarioConfig(), 1.0, McConfig(seed=-7, samples=500))
         again = estimate_c3(ScenarioConfig(), 1.0, McConfig(seed=-7, samples=500))
         assert est == again
@@ -224,15 +217,9 @@ class TestDfAndCutset:
 class TestDeterminism:
     def test_identical_config_identical_estimate(self):
         scn = ScenarioConfig()
-        mc = McConfig(seed=97, samples=5000, streams=4)
+        mc = McConfig(seed=97, samples=5000)
         a = estimate_c3(scn, 1.0, mc)
         b = estimate_c3(scn, 1.0, mc)
-        assert a == b
-
-    def test_stream_split_is_deterministic(self):
-        scn = ScenarioConfig()
-        a = estimate_c3(scn, 1.0, McConfig(seed=5, samples=6000, streams=3))
-        b = estimate_c3(scn, 1.0, McConfig(seed=5, samples=6000, streams=3))
         assert a == b
 
     def test_different_seeds_differ(self):

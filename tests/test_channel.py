@@ -9,7 +9,6 @@ from relaycov.channel import (
     UnsupportedSizeError,
     relay_dest_distance,
     resolve_los,
-    sample_link,
     sample_link_batch,
     sector_of,
 )
@@ -84,7 +83,7 @@ class TestSampleLink:
 
     def test_pure_los_limit(self):
         model = FadingModel.rician(1e9, LosPrototype.poorly_conditioned())
-        H = sample_link(model, 2, 2, 1.0, 3.52, make_rng(7))
+        H = sample_link_batch(model, 3, 2, 2, 1.0, 3.52, make_rng(7))
         assert np.max(np.abs(H - np.ones((2, 2)))) < 1e-4
 
     def test_power_law_scaling(self):
@@ -108,9 +107,9 @@ class TestSampleLink:
 
     def test_invalid_distance(self):
         with pytest.raises(ValueError):
-            sample_link(FadingModel.rayleigh(), 2, 2, 0.0, 3.52, make_rng())
+            sample_link_batch(FadingModel.rayleigh(), 1, 2, 2, 0.0, 3.52, make_rng())
         with pytest.raises(ValueError):
-            sample_link(FadingModel.rayleigh(), 2, 2, -1.0, 3.52, make_rng())
+            sample_link_batch(FadingModel.rayleigh(), 1, 2, 2, -1.0, 3.52, make_rng())
 
 
 class TestRelayDestDistance:

@@ -262,10 +262,11 @@ class TestRejectedKeyIsNamed:
     @pytest.mark.parametrize("key,value", [
         ("P_s", "-1"), ("P_r", "0"), ("alpha", "nan"), ("R_c", "inf"),
         ("N_s", "0"), ("N_r", "0"), ("M_r", "0"), ("M_d", "0"),
-        ("samples", "0"), ("streams", "0"),
+        ("samples", "0"),
         ("r_lo", "-1"), ("r_lo", "20"), ("r_hi", "nan"), ("tol", "0"),
         ("max_iter", "0"),
-        ("L", "0"), ("d_y", "inf"), ("sweep_start", "nan"),
+        ("L", "0"), ("angular_steps", "0"), ("angular_steps", "15"),
+        ("sweep_points", "0"), ("d_y", "inf"), ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
         ("relay_radius", "nan"), ("hata_A", "nan"), ("hata_B", "-1"),
         ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
@@ -279,4 +280,16 @@ class TestRejectedKeyIsNamed:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert err["field"] == key
+        assert not out.exists()
+
+    def test_streams_is_an_unknown_key(self, tmp_path, capsys):
+        # All draws come from one generator; the old layout knob is gone.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("streams=1\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unknown-key"
+        assert err["field"] == "streams"
         assert not out.exists()

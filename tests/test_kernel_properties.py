@@ -1,12 +1,15 @@
 """Property tests of the 2x2 quadratic-form log-det and the direct Gram
-packing, on random channel stacks and scaled powers 0 <= a <= 50."""
+packing, on random channel stacks and scaled powers 0 <= a <= 50, and of
+the per-realization bound ordering on random scenarios."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relaycov import matrixkit
+from relaycov import capacity, matrixkit
+from relaycov.capacity import McConfig, ScenarioConfig
+from relaycov.channel import FadingModel, LosPrototype
 
 POWER = st.floats(min_value=0.0, max_value=50.0)
 ENTRY = st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False)
@@ -84,3 +87,42 @@ def test_direct_packing_matches_packed_gram(stacks):
     # useful relative accuracy in either route.
     bound = 1e-14 * (reference[0] + reference[1])
     assert np.all(np.abs(direct - reference) <= bound)
+
+
+ANTENNAS = st.integers(1, 3)
+DISTANCE = st.floats(min_value=0.1, max_value=3.0)
+
+
+@st.composite
+def fading_for(draw, rows, cols):
+    """Rayleigh, or at 2x2 also Rician with a poor or well LOS prototype."""
+    if (rows, cols) != (2, 2) or draw(st.booleans()):
+        return FadingModel.rayleigh()
+    los = draw(st.sampled_from([LosPrototype.poorly_conditioned(),
+                                LosPrototype.well_conditioned()]))
+    return FadingModel.rician(draw(st.floats(0.1, 100.0)), los)
+
+
+@st.composite
+def scenarios(draw):
+    N_s, M_r, M_d = draw(ANTENNAS), draw(ANTENNAS), draw(ANTENNAS)
+    return ScenarioConfig(
+        N_s=N_s, M_r=M_r, M_d=M_d,
+        fading_sr=draw(fading_for(M_r, N_s)),
+        fading_sd=draw(fading_for(M_d, N_s)),
+        fading_rd=draw(fading_for(M_d, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), DISTANCE, DISTANCE, DISTANCE, st.integers(0, 2**32))
+def test_cutset_at_least_df_per_realization(scn, r_R, r_D, r_DR, seed):
+    try:
+        s = capacity.sample_bound_realizations(
+            scn, r_R, r_D, r_DR, McConfig(seed=seed, samples=64))
+    finally:
+        capacity.release_bank()
+    # At two transmit antennas c1 adds sd's terms to c3's determinant, so
+    # the ordering is exact; the Cholesky route factors two matrices.
+    slack = 0.0 if scn.N_s == 2 else 1e-12
+    assert np.all(s.c1 >= s.c3 - slack)
+    assert np.all(np.minimum(s.c1, s.c2) >= np.minimum(s.c3, s.c2) - slack)
