@@ -4,6 +4,7 @@ transmit power per antenna, plus the high-SNR closed form."""
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +85,25 @@ class McConfig:
 
 @dataclass(frozen=True)
 class BoundEstimate:
-    """Monte Carlo mean with its standard error, both in bits."""
+    """Monte Carlo mean of per-realization values, in bits.
+
+    The values are kept out of repr and ==; the standard error is computed
+    from them on first read, so a solver that reads only the mean never
+    pays for it.
+    """
 
     mean: float
-    std_error: float
     samples_used: int
+    _values: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def std_error(self) -> float:
+        """Standard error of the mean: sample std (ddof=1) / sqrt(n), or
+        0.0 below two samples."""
+        n = self.samples_used
+        if n < 2:
+            return 0.0
+        return float(np.std(self._values, ddof=1) / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -119,12 +134,9 @@ def digamma(x: float) -> float:
 
 
 def summarize_samples(values: np.ndarray) -> BoundEstimate:
-    n = values.size
-    mean = float(np.mean(values))
-    if n < 2:
-        return BoundEstimate(mean, 0.0, n)
-    se = float(np.std(values, ddof=1) / math.sqrt(n))
-    return BoundEstimate(mean, se, n)
+    """Mean of per-realization values; the estimate keeps them for its
+    standard error, so they must not be modified afterwards."""
+    return BoundEstimate(float(np.mean(values)), values.size, values)
 
 
 def _link_shapes(scn: ScenarioConfig) -> dict[str, tuple[int, int]]:

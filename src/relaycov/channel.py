@@ -168,14 +168,17 @@ def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
         raise ValueError(f"distance must be > 0, got {distance}")
     if alpha <= 0:
         raise ValueError(f"path-loss exponent must be > 0, got {alpha}")
-    nlos = matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng)
+    # Built in place on the scattered draw; a real scalar times a complex
+    # entry rounds each part on its own, so this matches the out-of-place
+    # formula bit for bit.
+    h = matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng)
     if model.k_factor > 0:
         los = resolve_los(model.los, rows, cols)
         k = model.k_factor
-        h = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
-    else:
-        h = nlos
-    return distance ** (-alpha / 2.0) * h
+        h *= np.sqrt(1.0 / (k + 1.0))
+        h += np.sqrt(k / (k + 1.0)) * los
+    h *= distance ** (-alpha / 2.0)
+    return h
 
 
 def relay_dest_distance(r_D: float, r_R: float, phi: float) -> float:

@@ -84,6 +84,10 @@ class SweepOptions:
         if self.backoff <= 0:
             raise ParameterError(
                 "backoff", f"backoff must be > 0, got {self.backoff}")
+        if self.relay_radius is not None and self.relay_radius <= 0:
+            raise ParameterError(
+                "relay_radius",
+                f"relay_radius must be > 0, got {self.relay_radius}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,8 @@ def _write_sidecar(csv_path: Path, manifest: RunManifest, extras: dict,
     }
     meta.update(extras)
     path = csv_path.with_suffix(".meta.json")
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -286,11 +291,18 @@ def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
     stop = 1.0 if opt.sweep_stop is None else opt.sweep_stop
+    grid = np.linspace(start, stop, opt.sweep_points)
+    # r_R = hypot(d_x, d_y) and r_DR = hypot(1 - d_x, d_y): with d_y = 0 a
+    # grid point at d_x = 0 or 1 puts the relay on the source or destination.
+    if opt.d_y == 0.0 and np.any((grid == 0.0) | (grid == 1.0)):
+        raise ConfigError(
+            "validation", "d_y", f"d_y=0 puts the relay on the source (d_x=0) "
+            f"or the destination (d_x=1); the d_x grid runs {start}..{stop}")
     header = ["d_x", "c1", "c2", "c3", "cutset", "df",
               "stderr_c1", "stderr_c2", "stderr_c3", "stderr_cutset",
               "stderr_df"]
     rows = []
-    for d_x in np.linspace(start, stop, opt.sweep_points):
+    for d_x in grid:
         r_R = math.hypot(d_x, opt.d_y)
         r_D = 1.0
         r_DR = math.hypot(1.0 - d_x, opt.d_y)
@@ -312,6 +324,10 @@ def _run_optloc(manifest: RunManifest):
     start = 0.25 if opt.sweep_start is None else opt.sweep_start
     stop = 2.5 if opt.sweep_stop is None else opt.sweep_stop
     radii = np.linspace(start, stop, opt.sweep_points)
+    if not radii.min() > 0:
+        raise ConfigError(
+            "validation", "sweep_start" if not start > 0 else "sweep_stop",
+            f"relay radii must be > 0, the grid runs {start}..{stop}")
     table = coverage.rate_vs_relay_radius(scn, mc, radii)
     r_star = coverage.optimal_relay_radius(scn, mc, manifest.solver)
     print(f"r_star={_fmt(r_star)}")
@@ -372,7 +388,10 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop) -> dict:
                                                    mc).mean
     gamma = max(coop_rate / noncoop_rate, 1.0)
     ratio = cooperation.power_ratio(fit.K2, P_d, gamma)
-    factors = cooperation.extension_factor(fit.K2, P_d, gamma, opt.hata.B)
+    try:
+        factors = cooperation.extension_factor(fit.K2, P_d, gamma, opt.hata.B)
+    except ParameterError as exc:
+        raise ConfigError("validation", f"hata_{exc.field}", str(exc))
     return {
         "extension_report": {
             "theta_null_deg": math.degrees(theta_null),

@@ -262,12 +262,18 @@ def extension_factor(K2: float, P_d: float, gamma: float,
     literal = power_ratio^(1/B) (a distance ratio <= 1 for gamma > 1);
     coverage_gain is its reciprocal (>= 1), the factor by which the same
     sum-rate is reached farther out when two relays cooperate. Both are
-    returned; literal * coverage_gain == 1 by construction.
+    returned; literal * coverage_gain == 1 by construction. Raises
+    ParameterError("B", ...) when a slope this small drives literal so
+    close to 0 that its reciprocal is not finite.
     """
     if B <= 0:
         raise ValueError(f"B must be > 0, got {B}")
     pr = power_ratio(K2, P_d, gamma)
-    literal = pr ** (1.0 / B)
+    literal = float(pr) ** (1.0 / B)
+    if not (literal > 0.0 and math.isfinite(1.0 / literal)):
+        raise ParameterError(
+            "B", f"B={B} gives extension factor {literal!r}, whose "
+            f"reciprocal coverage gain is not finite")
     literal, gain = _reciprocal_pair(literal)
     return ExtensionFactors(literal=literal, coverage_gain=gain)
 

@@ -22,7 +22,10 @@ def sample_complex_gaussian_batch(n: int, rows: int, cols: int,
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
     z = rng.standard_normal((n, rows, cols, 2))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+    # Scale in place and read each (real, imaginary) pair as one complex
+    # entry: the same values as (z0 + 1j z1) * sqrt(1/2), with no copies.
+    z *= np.sqrt(0.5)
+    return z.view(np.complex128)[..., 0]
 
 
 def gram(H: np.ndarray) -> np.ndarray:

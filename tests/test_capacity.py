@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relaycov import capacity
+from relaycov import capacity, cli, cooperation, coverage
 from relaycov.capacity import (
     BoundEstimate,
     McConfig,
@@ -19,6 +20,7 @@ from relaycov.capacity import (
     sample_bound_realizations,
 )
 from relaycov.channel import FadingModel, LosPrototype, NetworkGeometry
+from relaycov.coverage import SolverConfig
 
 PURE_LOS_K = 1e9
 
@@ -288,9 +290,66 @@ class TestDigamma:
 class TestBoundEstimate:
     def test_single_sample_std_error(self):
         est = capacity.summarize_samples(np.array([3.0]))
-        assert est == BoundEstimate(3.0, 0.0, 1)
+        assert (est.mean, est.std_error, est.samples_used) == (3.0, 0.0, 1)
 
     def test_std_error_definition(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
         est = capacity.summarize_samples(vals)
         assert est.std_error == pytest.approx(np.std(vals, ddof=1) / 2.0)
+
+    def test_std_error_is_exactly_the_formula(self):
+        vals = np.random.default_rng(5).standard_normal(20000)
+        est = capacity.summarize_samples(vals)
+        assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+    def test_values_outside_repr_and_eq(self):
+        a = capacity.summarize_samples(np.array([1.0, 3.0]))
+        b = BoundEstimate(2.0, 2, np.array([0.0, 4.0]))
+        assert a == b
+        assert repr(a) == "BoundEstimate(mean=2.0, samples_used=2)"
+        assert a.std_error != b.std_error
+
+
+class TestStdErrorOnFirstRead:
+    """The solvers read only .mean, so no probe pays for a standard error;
+    the bounds table still reads all five per sweep point."""
+
+    @pytest.fixture
+    def std_calls(self, monkeypatch):
+        calls = []
+        std = np.std
+
+        def counting_std(*args, **kwargs):
+            calls.append(1)
+            return std(*args, **kwargs)
+
+        monkeypatch.setattr(np, "std", counting_std)
+        yield calls
+        capacity.release_bank()
+
+    def test_coverage_boundary(self, std_calls):
+        region = coverage.coverage_boundary(
+            ScenarioConfig(), 0.95, 4, 16, McConfig(samples=500), SolverConfig())
+        assert region.radii.max() > 0
+        assert std_calls == []
+
+    def test_coop_coverage_boundary(self, std_calls):
+        region = cooperation.coop_coverage_boundary(
+            ScenarioConfig(), 0.95, 4, 16, McConfig(samples=500), SolverConfig())
+        assert region.radii.max() > 0
+        assert std_calls == []
+
+    def test_optimal_relay_radius(self, std_calls):
+        r_star = coverage.optimal_relay_radius(
+            ScenarioConfig(), McConfig(samples=500), SolverConfig())
+        assert r_star > 0
+        assert std_calls == []
+
+    def test_bounds_reads_five_per_point(self, std_calls, tmp_path):
+        out = tmp_path / "b.csv"
+        manifest = replace(cli.parse_config("samples=300\nsweep_points=4\n"),
+                           command="bounds", output_path=str(out))
+        assert cli.run(manifest) == 0
+        assert len(std_calls) == 5 * 4
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(float(v) > 0 for row in rows for v in row[6:])

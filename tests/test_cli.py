@@ -268,7 +268,8 @@ class TestRejectedKeyIsNamed:
         ("L", "0"), ("angular_steps", "0"), ("angular_steps", "15"),
         ("sweep_points", "0"), ("d_y", "inf"), ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
-        ("relay_radius", "nan"), ("hata_A", "nan"), ("hata_B", "-1"),
+        ("relay_radius", "nan"), ("relay_radius", "0"), ("relay_radius", "-1"),
+        ("hata_A", "nan"), ("hata_B", "-1"),
         ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -293,3 +294,41 @@ class TestRejectedKeyIsNamed:
         assert err["error"] == "unknown-key"
         assert err["field"] == "streams"
         assert not out.exists()
+
+
+class TestRejectedBeforeAnyFile:
+    """Inputs that only fail once the command builds its geometry are
+    still rejected with exit 2 naming the key, and nothing is written."""
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("optloc", "sweep_start=0\n", "sweep_start"),
+        ("optloc", "sweep_start=0.5\nsweep_stop=-1\n", "sweep_stop"),
+        ("bounds", "d_y=0\n", "d_y"),
+        ("coop", "hata_B=1e-300\nsamples=2000\n", "hata_B"),
+    ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
+            "bounds-relay-on-a-node", "coop-extension-factor-underflow"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config,
+                                    key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["field"] == key
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_zero_d_y_off_the_nodes_runs(self, tmp_path):
+        out = tmp_path / "b.csv"
+        manifest = replace(parse_config("d_y=0\nsweep_start=0.25\n"
+                                        "sweep_stop=0.75\nsweep_points=3\n"
+                                        "samples=200\n"),
+                           command="bounds", output_path=str(out))
+        assert run(manifest) == 0
+        assert len(read_csv(out)[1]) == 3
+
+    def test_sidecar_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_sidecar(tmp_path / "o.csv", parse_config(""),
+                               {"coverage_gain": float("inf")}, 0.0)

@@ -6,6 +6,7 @@ import pytest
 from relaycov import cooperation
 from relaycov.capacity import (
     McConfig,
+    ParameterError,
     ScenarioConfig,
     digamma,
     estimate_c2,
@@ -258,6 +259,13 @@ class TestExtensionFactor:
             gains = [extension_factor(x, 1.0, g, 35.22).coverage_gain
                      for g in (1.0, 1.5, 2.0, 3.0, 5.0)]
             assert all(a <= b + 1e-15 for a, b in zip(gains, gains[1:]))
+
+    def test_unrepresentable_gain_names_b(self):
+        # gamma > 1 makes the power ratio < 1; a tiny slope sends its
+        # 1/B-th power to 0, whose reciprocal is not finite.
+        with pytest.raises(ParameterError) as err:
+            extension_factor(10.0, 1.0, 2.0, 1e-300)
+        assert err.value.field == "B"
 
 
 class TestTwoRelayDistances:

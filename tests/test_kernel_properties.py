@@ -1,8 +1,10 @@
 """Property tests of the 2x2 quadratic-form log-det and the direct Gram
 packing, on random channel stacks and scaled powers 0 <= a <= 50, and of
-the per-realization bound ordering on random scenarios."""
+the per-realization bound ordering and c3's monotonicity on random
+scenarios."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -126,3 +128,21 @@ def test_cutset_at_least_df_per_realization(scn, r_R, r_D, r_DR, seed):
     slack = 0.0 if scn.N_s == 2 else 1e-12
     assert np.all(s.c1 >= s.c3 - slack)
     assert np.all(np.minimum(s.c1, s.c2) >= np.minimum(s.c3, s.c2) - slack)
+
+
+@pytest.mark.parametrize("N_s", [2, 3], ids=["quadratic-form", "cholesky"])
+@settings(max_examples=100, deadline=None)
+@given(M_r=ANTENNAS, data=st.data(), near=DISTANCE, far=DISTANCE,
+       seed=st.integers(0, 2**32))
+def test_c3_nonincreasing_in_relay_radius(N_s, M_r, data, near, far, seed):
+    # optimal_relay_radius bisects on c3's mean, assuming it falls as the
+    # relay moves out; on common draws that holds realization by realization.
+    near, far = min(near, far), max(near, far)
+    scn = ScenarioConfig(N_s=N_s, M_r=M_r, fading_sr=data.draw(fading_for(M_r, N_s)))
+    mc = McConfig(seed=seed, samples=64)
+    try:
+        c3_near = capacity.c3_samples(scn, near, mc)
+        c3_far = capacity.c3_samples(scn, far, mc)
+    finally:
+        capacity.release_bank()
+    assert np.all(c3_far <= c3_near + 1e-12)

@@ -3,6 +3,7 @@ bisection solvers raise on a NaN objective instead of returning r_lo."""
 
 import math
 
+import numpy as np
 import pytest
 
 from relaycov import capacity, coverage
@@ -48,7 +49,7 @@ def test_solve_ray_raises_on_nan_objective():
 
 def test_optimal_relay_radius_raises_on_nan_objective(monkeypatch):
     def nan_rate(scn, r_R, mc):
-        return capacity.BoundEstimate(math.nan, 0.0, 1)
+        return capacity.summarize_samples(np.array([math.nan]))
 
     monkeypatch.setattr(capacity, "estimate_c3", nan_rate)
     with pytest.raises(FloatingPointError):
