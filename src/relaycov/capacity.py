@@ -136,7 +136,9 @@ def digamma(x: float) -> float:
 def summarize_samples(values: np.ndarray) -> BoundEstimate:
     """Mean of per-realization values; the estimate keeps them for its
     standard error, so they must not be modified afterwards."""
-    return BoundEstimate(float(np.mean(values)), values.size, values)
+    # np.mean's own sum and division, without its dispatch overhead.
+    return BoundEstimate(float(np.add.reduce(values) / values.size),
+                         values.size, values)
 
 
 def _link_shapes(scn: ScenarioConfig) -> dict[str, tuple[int, int]]:
@@ -164,12 +166,13 @@ class ChannelBank:
     was asked for first. The bank keeps only per-sample Gram matrices, on
     the sides listed in _GRAM_SIDES (their packed entries when that side
     has two antennas, with the quadratic-form coefficient rows built from
-    them on first use), and the last c3 array it computed.
+    them on first use), the eigenvalues of the source-side sr Gram when it
+    is not 2x2, the last c3 array it computed, and one scratch row.
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
         self.key = _bank_key(scn, mc)
-        self._mc = mc
+        self.scn, self.mc = scn, mc
         self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
         self._rng = np.random.Generator(np.random.Philox(
@@ -177,14 +180,16 @@ class ChannelBank:
         self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
         self._grams: dict[tuple[str, str], np.ndarray] = {}
         self._rows: dict[str, np.ndarray] = {}
+        self._eig: np.ndarray | None = None
         self._c3: tuple[float, np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
     def _draw_through(self, link: str) -> None:
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
             # Unit distance: path loss is applied per probe, whatever alpha is.
-            H = channel.sample_link_batch(self._models[name], self._mc.samples,
+            H = channel.sample_link_batch(self._models[name], self.mc.samples,
                                           rows, cols, 1.0, 1.0, self._rng)
             for side in _GRAM_SIDES[name]:
                 # The Gram of H^T is conj(H^dagger H); traces, determinants
@@ -233,11 +238,20 @@ class ChannelBank:
         self._rows[term] = np.stack(rows)
         return self._rows[term]
 
+    def scratch(self) -> np.ndarray:
+        """A per-sample row that the next caller overwrites."""
+        if self._scratch is None:
+            # Allocated on first use: most banks never need it.
+            self._scratch = np.empty(self.mc.samples)
+        return self._scratch
+
     def c3(self, a_sr: float) -> np.ndarray:
         """Per-sample relay-link rate log2 det(I + a_sr G_sr), read-only.
 
         The last (a_sr, c3) pair is kept: a coverage sweep holds the relay
-        radius fixed, so its probes all share one c3 array.
+        radius fixed, so its probes all share one c3 array. Other than two
+        source antennas, c3 reads the Gram's eigenvalues, computed once per
+        bank, so it never rises with the relay radius.
         """
         if self._c3 is None or self._c3[0] != a_sr:
             G = self.gram("sr", "tx")
@@ -245,7 +259,9 @@ class ChannelBank:
                 c3 = matrixkit.logdet_quadratic_2x2(
                     np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr"))
             else:
-                c3 = matrixkit.logdet_identity_plus_batch(a_sr * G)
+                if self._eig is None:
+                    self._eig = np.maximum(np.linalg.eigvalsh(G), 0.0)
+                c3 = matrixkit.logdet_identity_plus_eig(self._eig, a_sr)
             c3.flags.writeable = False
             self._c3 = (a_sr, c3)
         return self._c3[1]
@@ -259,10 +275,14 @@ class ChannelBank:
         """
         G = self.gram("sr", "tx")
         if G.ndim == 2:
-            base = 1.0 + np.array([a_sr, a_sr * a_sr]) @ self.quadratic_rows("sr")
-            return matrixkit.logdet_quadratic_2x2(
-                np.array([a_sd, a_sd * a_sd, a_sd * a_sr]),
-                self.quadratic_rows("c1"), base=base)
+            # Rows first, so a link they draw is drawn before det exists
+            # and the two never add to one memory peak.
+            T = self.quadratic_rows("c1")
+            det = np.array([a_sr, a_sr * a_sr]) @ self.quadratic_rows("sr")
+            det += 1.0
+            det += np.matmul(np.array([a_sd, a_sd * a_sd, a_sd * a_sr]), T,
+                             out=self.scratch())
+            return matrixkit.log2_det(det)
         return matrixkit.logdet_identity_plus_batch(
             a_sr * G + a_sd * self.gram("sd", "tx"))
 
@@ -281,6 +301,8 @@ _bank: ChannelBank | None = None
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
     global _bank
+    if _bank is not None and _bank.scn is scn and _bank.mc is mc:
+        return _bank
     key = _bank_key(scn, mc)
     if _bank is None or _bank.key != key:
         _bank = ChannelBank(scn, mc)
@@ -311,12 +333,15 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
     det(I + a_sd G_sd + a_sr G_sr). c2 and coop are the destination's on
     receive-side Grams. With two antennas on that side each bound is a
     quadratic form in the scaled powers; other sizes factor the weighted
-    Gram sum by Cholesky.
+    Gram sum by Cholesky. Every array returned is fresh except c3, the
+    bank's read-only memo.
     """
-    for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
-                        ("r_DR2", r_DR2)):
-        if value is not None:
-            _check_distance(name, value)
+    if not ((r_R is None or r_R > 0) and (r_D is None or r_D > 0)
+            and (r_DR is None or r_DR > 0) and (r_DR2 is None or r_DR2 > 0)):
+        for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
+                            ("r_DR2", r_DR2)):
+            if value is not None:
+                _check_distance(name, value)
     bank = _bank_for(scn, mc)
     out: dict[str, np.ndarray] = {}
 
@@ -342,9 +367,14 @@ def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
         if "c2" in need:
             out["c2"] = matrixkit.logdet_quadratic_2x2(w, T)
         if "coop" in need:
-            w2 = np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2, a_rd * a_rd2])
-            out["coop"] = matrixkit.logdet_quadratic_2x2(
-                w2, bank.quadratic_rows("rd2"), base=1.0 + w @ T)
+            # Rows first, so rd2 is drawn before det exists and the two
+            # never add to one memory peak.
+            T2 = bank.quadratic_rows("rd2")
+            det = w @ T
+            det += 1.0
+            det += np.matmul(np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2,
+                                       a_rd * a_rd2]), T2, out=bank.scratch())
+            out["coop"] = matrixkit.log2_det(det)
     else:
         mac = a_sd * bank.gram("sd", "rx") + a_rd * bank.gram("rd", "rx")
         if "c2" in need:
@@ -362,7 +392,7 @@ def c3_samples(scn: ScenarioConfig, r_R: float, mc: McConfig) -> np.ndarray:
 
 def estimate_c3(scn: ScenarioConfig, r_R: float, mc: McConfig) -> BoundEstimate:
     """Ergodic rate of the source-relay link at relay radius r_R."""
-    return summarize_samples(c3_samples(scn, r_R, mc))
+    return summarize_samples(_bound_arrays(scn, mc, ("c3",), r_R=r_R)["c3"])
 
 
 def estimate_c2(scn: ScenarioConfig, r_D: float, r_DR: float,
@@ -425,11 +455,13 @@ def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
             mc: McConfig) -> BoundEstimate:
     """Decode-and-forward achievable rate min(c3, c2) for the geometry.
 
-    The minimum is taken per realization before averaging (common draws).
+    The minimum is taken per realization before averaging (common draws),
+    in place on the fresh c2 array: c3 is the bank's read-only memo.
     """
     r_R, r_D, r_DR = resolve_distances(geom)
     arrays = _bound_arrays(scn, mc, ("c2", "c3"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    return summarize_samples(np.minimum(arrays["c3"], arrays["c2"]))
+    c2 = arrays["c2"]
+    return summarize_samples(np.minimum(arrays["c3"], c2, out=c2))
 
 
 def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry,
@@ -437,7 +469,8 @@ def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry,
     """Cut-set upper bound min(c1, c2) for the geometry (common draws)."""
     r_R, r_D, r_DR = resolve_distances(geom)
     arrays = _bound_arrays(scn, mc, ("c1", "c2"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    return summarize_samples(np.minimum(arrays["c1"], arrays["c2"]))
+    c2 = arrays["c2"]
+    return summarize_samples(np.minimum(arrays["c1"], c2, out=c2))
 
 
 def high_snr_rate(m: int, n: int, N_s: int, rho: float) -> float:

@@ -1,6 +1,8 @@
 """Per-link channel construction: LOS prototypes, Rician/Rayleigh fading,
 amplitude path loss, and the polar multi-relay geometry."""
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +86,8 @@ class FadingModel:
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Polar layout: source at the origin, relay_count relays uniformly on a
-    circle of radius relay_radius, destination at (dest_radius, dest_angle)."""
+    circle of radius relay_radius (relay n, 1-based, at angle
+    (n - 1) * coverage_angle), destination at (dest_radius, dest_angle)."""
 
     relay_radius: float
     relay_count: int
@@ -101,10 +104,6 @@ class NetworkGeometry:
     def coverage_angle(self) -> float:
         """Sector angle per relay, 2*pi / relay_count."""
         return 2.0 * np.pi / self.relay_count
-
-    def relay_angle(self, n: int) -> float:
-        """Angle of relay n (1-based); relay 1 sits at angle 0."""
-        return (n - 1) * self.coverage_angle
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -177,7 +176,9 @@ def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
         k = model.k_factor
         h *= np.sqrt(1.0 / (k + 1.0))
         h += np.sqrt(k / (k + 1.0)) * los
-    h *= distance ** (-alpha / 2.0)
+    gain = distance ** (-alpha / 2.0)
+    if gain != 1.0:  # unit distance, as the channel bank draws, needs no pass
+        h *= gain
     return h
 
 
@@ -189,8 +190,8 @@ def relay_dest_distance(r_D: float, r_R: float, phi: float) -> float:
     """
     if r_D < 0 or r_R < 0:
         raise ValueError("radii must be >= 0")
-    radicand = r_D * r_D + r_R * r_R - 2.0 * r_D * r_R * np.cos(phi)
-    return float(np.sqrt(max(radicand, 0.0)))
+    radicand = r_D * r_D + r_R * r_R - 2.0 * r_D * r_R * math.cos(phi)
+    return math.sqrt(max(radicand, 0.0))
 
 
 def sector_of(geom: NetworkGeometry) -> tuple[int, float]:
@@ -200,12 +201,18 @@ def sector_of(geom: NetworkGeometry) -> tuple[int, float]:
     exact ties resolve to the lower index. The returned angle phi lies in
     [0, pi/L].
     """
-    L = geom.relay_count
+    return _sector(geom.dest_angle, geom.relay_count)
+
+
+# The probes along one ray share its angle, so a few entries suffice.
+@functools.lru_cache(maxsize=64)
+def _sector(dest_angle: float, L: int) -> tuple[int, float]:
     two_pi = 2.0 * np.pi
+    coverage_angle = two_pi / L  # as NetworkGeometry.coverage_angle
     best_n = 1
     best_d = None
     for n in range(1, L + 1):
-        delta = geom.dest_angle - geom.relay_angle(n)
+        delta = dest_angle - (n - 1) * coverage_angle
         d = abs((delta + np.pi) % two_pi - np.pi)
         if best_d is None or d < best_d - _TIE_TOL:
             best_n, best_d = n, d

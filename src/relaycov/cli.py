@@ -287,6 +287,38 @@ def _write_dataset_json(csv_path: Path, header: list[str],
     return path
 
 
+# Largest scaled power (P/N) d^-alpha, in decades, that a probe may form.
+# The 2x2 log-dets square it; up to here a determinant stays finite for
+# Gram traces up to 1e3, far above any draw's.
+_MAX_POWER_DECADES = 150.0
+
+
+def _check_link_budget(scn: ScenarioConfig,
+                       nearest: list[tuple[str, str, float]]) -> None:
+    """Reject, before any probe, a power or a nearest distance whose scaled
+    power exceeds 10^_MAX_POWER_DECADES.
+
+    nearest holds (distance key, power key, distance) for the nearest
+    distance the run probes with that power.
+    """
+    def decades(power_key: str, d: float) -> float:
+        antennas = scn.N_s if power_key == "P_s" else scn.N_r
+        return (math.log10(getattr(scn, power_key) / antennas)
+                - scn.alpha * math.log10(d))
+
+    for power_key in ("P_s", "P_r"):
+        if decades(power_key, 1.0) > _MAX_POWER_DECADES:
+            raise ConfigError(
+                "validation", power_key, f"{power_key}={getattr(scn, power_key)} "
+                f"gives a scaled power above 1e{_MAX_POWER_DECADES:g}")
+    for key, power_key, d in nearest:
+        if decades(power_key, d) > _MAX_POWER_DECADES:
+            raise ConfigError(
+                "validation", key, f"{key} puts a node {d!r} from its "
+                f"transmitter, where the scaled power of {power_key} exceeds "
+                f"1e{_MAX_POWER_DECADES:g} at alpha={scn.alpha}")
+
+
 def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
@@ -298,6 +330,9 @@ def _run_bounds(manifest: RunManifest):
         raise ConfigError(
             "validation", "d_y", f"d_y=0 puts the relay on the source (d_x=0) "
             f"or the destination (d_x=1); the d_x grid runs {start}..{stop}")
+    _check_link_budget(scn, [
+        ("d_y", "P_s", float(np.hypot(grid, opt.d_y).min())),
+        ("d_y", "P_r", float(np.hypot(1.0 - grid, opt.d_y).min()))])
     header = ["d_x", "c1", "c2", "c3", "cutset", "df",
               "stderr_c1", "stderr_c2", "stderr_c3", "stderr_cutset",
               "stderr_df"]
@@ -328,6 +363,10 @@ def _run_optloc(manifest: RunManifest):
         raise ConfigError(
             "validation", "sweep_start" if not start > 0 else "sweep_stop",
             f"relay radii must be > 0, the grid runs {start}..{stop}")
+    _check_link_budget(scn, [
+        ("sweep_start" if start <= stop else "sweep_stop", "P_s",
+         float(radii.min())),
+        ("r_lo", "P_s", manifest.solver.r_lo)])
     table = coverage.rate_vs_relay_radius(scn, mc, radii)
     r_star = coverage.optimal_relay_radius(scn, mc, manifest.solver)
     print(f"r_star={_fmt(r_star)}")
@@ -337,12 +376,19 @@ def _run_optloc(manifest: RunManifest):
 
 
 def _relay_radius(manifest: RunManifest) -> tuple[float, dict]:
-    opt = manifest.options
+    """Relay radius of a coverage sweep, and its sidecar entries. Checks the
+    link budget of the sweep's nearest relay and destination."""
+    scn, opt = manifest.scenario, manifest.options
+    # The radius solve and every ray start at r_lo.
+    nearest = [("r_lo", "P_s", manifest.solver.r_lo)]
     if opt.relay_radius is not None:
+        _check_link_budget(scn, nearest + [
+            ("relay_radius", "P_s", opt.relay_radius)])
         return opt.relay_radius, {"relay_radius": opt.relay_radius}
-    r_star = coverage.optimal_relay_radius(manifest.scenario, manifest.mc,
-                                           manifest.solver)
+    _check_link_budget(scn, nearest)
+    r_star = coverage.optimal_relay_radius(scn, manifest.mc, manifest.solver)
     r_R = opt.backoff * r_star
+    _check_link_budget(scn, [("backoff", "P_s", r_R)])
     return r_R, {"r_star": r_star, "backoff": opt.backoff, "relay_radius": r_R}
 
 

@@ -77,14 +77,15 @@ def coop_df_rate(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
 
     Per realization min(relay-link rate, cooperative sum-rate), averaged;
     the relay-decoding constraint is unchanged from the single-relay case.
+    The minimum is taken in place on the fresh sum-rate array.
     """
     r_DR1, r_DR2 = two_relay_distances(geom)
-    r_R, r_D, _ = capacity.resolve_distances(geom)
     arrays = capacity._bound_arrays(
-        scn, mc, ("c3", "coop"), r_R=r_R, r_D=r_D,
+        scn, mc, ("c3", "coop"), r_R=geom.relay_radius, r_D=geom.dest_radius,
         r_DR=max(r_DR1, channel.MIN_LINK_DISTANCE),
         r_DR2=max(r_DR2, channel.MIN_LINK_DISTANCE), P_r2=P_r2)
-    return capacity.summarize_samples(np.minimum(arrays["c3"], arrays["coop"]))
+    coop = arrays["coop"]
+    return capacity.summarize_samples(np.minimum(arrays["c3"], coop, out=coop))
 
 
 def two_relay_distances(geom: NetworkGeometry) -> tuple[float, float]:

@@ -98,9 +98,36 @@ def logdet_quadratic_2x2(w: np.ndarray, T: np.ndarray,
     (k, n). Like the Cholesky route, raises numpy.linalg.LinAlgError when a
     determinant is not finite and positive rather than returning NaN.
     """
-    det = base + w @ T
+    # Built in place on the dot's fresh output; addition commutes, so this
+    # is base + w @ T bit for bit.
+    det = w @ T
+    det += base
+    return log2_det(det)
+
+
+def log2_det(det: np.ndarray) -> np.ndarray:
+    """log2 of an array of determinants (or eigenvalue factors) of I + M,
+    computed in place, so det is overwritten and returned.
+
+    Raises numpy.linalg.LinAlgError, leaving det untouched, when a value is
+    not finite and positive rather than returning NaN.
+    """
     # min and max propagate NaN, so NaN fails the first comparison.
     if not (det.min() > 0.0 and det.max() < np.inf):
         raise np.linalg.LinAlgError(
             "I + M is not positive definite with a finite determinant")
-    return np.log2(det)
+    return np.log2(det, out=det)
+
+
+def logdet_identity_plus_eig(lam: np.ndarray, a: float) -> np.ndarray:
+    """log2 det(I + a G) = sum_i log2(1 + a lam_i) over a stack of Hermitian
+    PSD matrices G given by their eigenvalues lam (..., k), which must be
+    >= 0 (clamp eigenvalues rounded below zero first).
+
+    Each factor is nondecreasing in a, and so is their sum in a fixed
+    order, so the rate never rises as a falls, however a rank-deficient
+    Gram rounds. Raises numpy.linalg.LinAlgError like log2_det.
+    """
+    x = a * lam
+    x += 1.0
+    return log2_det(x).sum(axis=-1)

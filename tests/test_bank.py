@@ -200,23 +200,22 @@ class TestDrawCounts:
 def c3_kernel_calls(monkeypatch):
     """Sizes of the log-det kernel calls that compute c3. In the scenarios
     below, c3 is the only 2x2 quadratic form with two coefficient rows and
-    the only Cholesky call on 3x3 matrices."""
+    the only eigenvalue log-det (on 3x3 matrices)."""
     calls = []
     quadratic = matrixkit.logdet_quadratic_2x2
-    cholesky = matrixkit.logdet_identity_plus_batch
+    eig = matrixkit.logdet_identity_plus_eig
 
     def counting_quadratic(w, T, base=1.0):
         if T.shape[0] == 2:
             calls.append(2)
         return quadratic(w, T, base)
 
-    def counting_cholesky(Ms):
-        if Ms.shape[-1] == 3:
-            calls.append(3)
-        return cholesky(Ms)
+    def counting_eig(lam, a):
+        calls.append(lam.shape[-1])
+        return eig(lam, a)
 
     monkeypatch.setattr(matrixkit, "logdet_quadratic_2x2", counting_quadratic)
-    monkeypatch.setattr(matrixkit, "logdet_identity_plus_batch", counting_cholesky)
+    monkeypatch.setattr(matrixkit, "logdet_identity_plus_eig", counting_eig)
     capacity.release_bank()
     yield calls
     capacity.release_bank()

@@ -113,20 +113,21 @@ class TestSampleLink:
             np.array([[1 + 2j, -0.5j], [0.3, 1 - 1j]]), normalize=True)), 2, 2),
     ], ids=["rayleigh", "rician-poor", "rician-well", "custom-complex-los"])
     def test_bit_equal_to_out_of_place_formula(self, model, rows, cols):
-        n, d, alpha = 500, 1.7, 3.52
-        H = sample_link_batch(model, n, rows, cols, d, alpha, make_rng(21))
+        n, alpha = 500, 3.52
         z = make_rng(21).standard_normal((n, rows, cols, 2))
         h = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
         if model.k_factor > 0:
             k = model.k_factor
             h = (np.sqrt(k / (k + 1.0)) * resolve_los(model.los, rows, cols)
                  + np.sqrt(1.0 / (k + 1.0)) * h)
-        expected = d ** (-alpha / 2.0) * h
-        assert H.dtype == np.complex128 and H.shape == (n, rows, cols)
-        assert H.flags.c_contiguous
-        assert np.array_equal(H, expected)
-        # Bit patterns too, signed zeros included.
-        assert H.tobytes() == expected.tobytes()
+        for d in (1.7, 1.0):  # unit distance skips the path-loss pass
+            H = sample_link_batch(model, n, rows, cols, d, alpha, make_rng(21))
+            expected = d ** (-alpha / 2.0) * h
+            assert H.dtype == np.complex128 and H.shape == (n, rows, cols)
+            assert H.flags.c_contiguous
+            assert np.array_equal(H, expected)
+            # Bit patterns too, signed zeros included.
+            assert H.tobytes() == expected.tobytes()
 
     def test_invalid_distance(self):
         with pytest.raises(ValueError):

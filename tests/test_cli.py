@@ -1,10 +1,16 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relaycov import cli
-from relaycov.cli import ConfigError, parse_config, run
+from relaycov.capacity import McConfig, ScenarioConfig
+from relaycov.channel import FadingModel, LosPrototype
+from relaycov.cli import ConfigError, RunManifest, SweepOptions, parse_config, run
+from relaycov.cooperation import HataParams
+from relaycov.coverage import SolverConfig
 
 
 class TestParseConfig:
@@ -260,13 +266,15 @@ class TestRejectedKeyIsNamed:
     # One rejected value per validated key; the JSON error must name the
     # key as written in the config, not the parameter's attribute name.
     @pytest.mark.parametrize("key,value", [
-        ("P_s", "-1"), ("P_r", "0"), ("alpha", "nan"), ("R_c", "inf"),
+        ("P_s", "-1"), ("P_r", "0"), ("P_s", "1e300"), ("P_r", "1e300"),
+        ("alpha", "nan"), ("R_c", "inf"),
         ("N_s", "0"), ("N_r", "0"), ("M_r", "0"), ("M_d", "0"),
         ("samples", "0"),
         ("r_lo", "-1"), ("r_lo", "20"), ("r_hi", "nan"), ("tol", "0"),
         ("max_iter", "0"),
         ("L", "0"), ("angular_steps", "0"), ("angular_steps", "15"),
-        ("sweep_points", "0"), ("d_y", "inf"), ("sweep_start", "nan"),
+        ("sweep_points", "0"), ("d_y", "inf"), ("d_y", "1e-300"),
+        ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
         ("relay_radius", "nan"), ("relay_radius", "0"), ("relay_radius", "-1"),
         ("hata_A", "nan"), ("hata_B", "-1"),
@@ -305,8 +313,14 @@ class TestRejectedBeforeAnyFile:
         ("optloc", "sweep_start=0.5\nsweep_stop=-1\n", "sweep_stop"),
         ("bounds", "d_y=0\n", "d_y"),
         ("coop", "hata_B=1e-300\nsamples=2000\n", "hata_B"),
+        ("coverage", "relay_radius=1e-300\n", "relay_radius"),
+        ("optloc", "sweep_start=1e-300\n", "sweep_start"),
+        ("optloc", "P_s=1e300\n", "P_s"),
+        ("coverage", "backoff=1e-200\nsamples=500\n", "backoff"),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
-            "bounds-relay-on-a-node", "coop-extension-factor-underflow"])
+            "bounds-relay-on-a-node", "coop-extension-factor-underflow",
+            "coverage-relay-radius-overflows", "optloc-start-overflows",
+            "optloc-power-overflows", "coverage-backoff-overflows"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config,
                                     key):
         cfg = tmp_path / "bad.cfg"
@@ -332,3 +346,89 @@ class TestRejectedBeforeAnyFile:
         with pytest.raises(ValueError):
             cli._write_sidecar(tmp_path / "o.csv", parse_config(""),
                                {"coverage_gain": float("inf")}, 0.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+ANTENNAS = st.integers(1, 8)
+FADING = st.one_of(
+    st.builds(FadingModel.rayleigh),
+    st.builds(FadingModel.rician,
+              st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+              st.sampled_from([LosPrototype.poorly_conditioned(),
+                               LosPrototype.well_conditioned()])))
+
+
+@st.composite
+def manifests(draw):
+    """Valid run manifests, every field drawn."""
+    r_lo, r_hi = draw(POSITIVE), draw(POSITIVE)
+    assume(r_lo < r_hi)
+    L = draw(st.integers(1, 12))
+    return RunManifest(
+        scenario=ScenarioConfig(
+            P_s=draw(POSITIVE), P_r=draw(POSITIVE), N_s=draw(ANTENNAS),
+            N_r=draw(ANTENNAS), M_r=draw(ANTENNAS), M_d=draw(ANTENNAS),
+            alpha=draw(POSITIVE), fading_sr=draw(FADING),
+            fading_sd=draw(FADING), fading_rd=draw(FADING), R_c=draw(POSITIVE)),
+        mc=McConfig(seed=draw(st.integers(-2**63, 2**64)),
+                    samples=draw(st.integers(1, 10**6))),
+        solver=SolverConfig(r_lo=r_lo, r_hi=r_hi, tol=draw(POSITIVE),
+                            max_iter=draw(st.integers(1, 1000))),
+        command=draw(st.sampled_from(cli.COMMANDS)),
+        output_path=draw(st.none() | st.text(
+            "abcXYZ019._-/", min_size=1, max_size=20)),
+        emit_json=draw(st.booleans()),
+        options=SweepOptions(
+            L=L, angular_steps=draw(st.integers(4 * L, 4 * L + 200)),
+            d_y=draw(FINITE), sweep_start=draw(st.none() | FINITE),
+            sweep_stop=draw(st.none() | FINITE),
+            sweep_points=draw(st.integers(1, 500)), backoff=draw(POSITIVE),
+            metric=draw(st.sampled_from(["df", "cutset"])),
+            relay_radius=draw(st.none() | POSITIVE),
+            hata=HataParams(A=draw(FINITE), B=draw(POSITIVE)),
+            exploit_symmetry=draw(st.booleans())))
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, FadingModel):
+        if value.los is None:
+            return "rayleigh"
+        return f"rician:K={value.k_factor!r}:los={value.los.kind}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def manifest_text(m: RunManifest) -> str:
+    """The manifest as key=value lines; unset optional keys are left out."""
+    pairs = {f.name: getattr(m.scenario, f.name) for f in fields(m.scenario)}
+    pairs.update(seed=m.mc.seed, samples=m.mc.samples)
+    pairs.update({f.name: getattr(m.solver, f.name) for f in fields(m.solver)})
+    pairs.update(command=m.command, out=m.output_path, json=m.emit_json)
+    pairs.update({f.name: getattr(m.options, f.name)
+                  for f in fields(m.options) if f.name != "hata"})
+    pairs.update(hata_A=m.options.hata.A, hata_B=m.options.hata.B)
+    return "".join(f"{key}={_text(value)}\n" for key, value in pairs.items()
+                   if value is not None)
+
+
+def fading_kind(model: FadingModel):
+    return model.k_factor, None if model.los is None else model.los.kind
+
+
+class TestParseConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(manifests())
+    def test_written_manifest_parses_back(self, m):
+        got = parse_config(manifest_text(m))
+        # Fading models compare by identity, so compare them by K and LOS kind.
+        for f in fields(m.scenario):
+            want, have = getattr(m.scenario, f.name), getattr(got.scenario, f.name)
+            if isinstance(want, FadingModel):
+                assert fading_kind(have) == fading_kind(want), f.name
+            else:
+                assert have == want, f.name
+        assert (got.mc, got.solver, got.options) == (m.mc, m.solver, m.options)
+        assert (got.command, got.output_path, got.emit_json) == (
+            m.command, m.output_path, m.emit_json)

@@ -5,7 +5,7 @@ scenarios."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -130,15 +130,27 @@ def test_cutset_at_least_df_per_realization(scn, r_R, r_D, r_DR, seed):
     assert np.all(np.minimum(s.c1, s.c2) >= np.minimum(s.c3, s.c2) - slack)
 
 
+RICIAN_LOS = st.none() | st.tuples(
+    st.floats(0.1, 100.0), st.sampled_from([LosPrototype.poorly_conditioned(),
+                                            LosPrototype.well_conditioned()]))
+
+
+# "cholesky" is the id of the N_s != 2 route, which reads eigenvalues.
 @pytest.mark.parametrize("N_s", [2, 3], ids=["quadratic-form", "cholesky"])
 @settings(max_examples=100, deadline=None)
-@given(M_r=ANTENNAS, data=st.data(), near=DISTANCE, far=DISTANCE,
+@given(M_r=ANTENNAS, los=RICIAN_LOS, near=DISTANCE, far=DISTANCE,
        seed=st.integers(0, 2**32))
-def test_c3_nonincreasing_in_relay_radius(N_s, M_r, data, near, far, seed):
+# A rank-one Gram at a ~ 1.7e4: Cholesky rounding made c3 rise by 1e-11
+# between two radii one ulp apart.
+@example(M_r=1, los=None, near=0.1, far=0.10000000000000002, seed=0)
+def test_c3_nonincreasing_in_relay_radius(N_s, M_r, los, near, far, seed):
     # optimal_relay_radius bisects on c3's mean, assuming it falls as the
     # relay moves out; on common draws that holds realization by realization.
     near, far = min(near, far), max(near, far)
-    scn = ScenarioConfig(N_s=N_s, M_r=M_r, fading_sr=data.draw(fading_for(M_r, N_s)))
+    # Rician fading (a (K, LOS) pair) applies only where a prototype exists.
+    fading = (FadingModel.rician(*los) if los and (M_r, N_s) == (2, 2)
+              else FadingModel.rayleigh())
+    scn = ScenarioConfig(N_s=N_s, M_r=M_r, fading_sr=fading)
     mc = McConfig(seed=seed, samples=64)
     try:
         c3_near = capacity.c3_samples(scn, near, mc)
