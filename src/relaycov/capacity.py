@@ -109,13 +109,11 @@ class BoundEstimate:
 @dataclass(frozen=True)
 class BoundSamples:
     """Per-realization bound values on common channel draws, in draw
-    order. coop is present only when a second relay distance was supplied.
-    """
+    order."""
 
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-    coop: np.ndarray | None = None
 
 
 def digamma(x: float) -> float:
@@ -168,6 +166,14 @@ class ChannelBank:
     has two antennas, with the quadratic-form coefficient rows built from
     them on first use), the eigenvalues of the source-side sr Gram when it
     is not 2x2, the last c3 array it computed, and one scratch row.
+
+    Each cut takes the scaled powers a = (P/N) d^-alpha of its links. c1
+    and c3 are the source's cuts on transmit-side Grams: by Sylvester's
+    identity the broadcast cut is det(I + a_sd G_sd + a_sr G_sr). c2 and
+    coop are the destination's on receive-side Grams. With two antennas on
+    that side each cut is a quadratic form in the scaled powers; other
+    sizes factor the weighted Gram sum by Cholesky (c3: eigenvalues).
+    Every array returned is fresh except c3, the read-only memo.
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
@@ -238,8 +244,10 @@ class ChannelBank:
         self._rows[term] = np.stack(rows)
         return self._rows[term]
 
-    def scratch(self) -> np.ndarray:
-        """A per-sample row that the next caller overwrites."""
+    def _scratch_row(self) -> np.ndarray:
+        """A per-sample row that the next caller overwrites. Callers fetch
+        it after their coefficient rows, so a link those rows draw is never
+        drawn while the probe holds its determinant."""
         if self._scratch is None:
             # Allocated on first use: most banks never need it.
             self._scratch = np.empty(self.mc.samples)
@@ -257,7 +265,7 @@ class ChannelBank:
             G = self.gram("sr", "tx")
             if G.ndim == 2:
                 c3 = matrixkit.logdet_quadratic_2x2(
-                    np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr"))
+                    (np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr")))
             else:
                 if self._eig is None:
                     self._eig = np.maximum(np.linalg.eigvalsh(G), 0.0)
@@ -275,16 +283,43 @@ class ChannelBank:
         """
         G = self.gram("sr", "tx")
         if G.ndim == 2:
-            # Rows first, so a link they draw is drawn before det exists
-            # and the two never add to one memory peak.
-            T = self.quadratic_rows("c1")
-            det = np.array([a_sr, a_sr * a_sr]) @ self.quadratic_rows("sr")
-            det += 1.0
-            det += np.matmul(np.array([a_sd, a_sd * a_sd, a_sd * a_sr]), T,
-                             out=self.scratch())
-            return matrixkit.log2_det(det)
+            return matrixkit.logdet_quadratic_2x2(
+                (np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr")),
+                (np.array([a_sd, a_sd * a_sd, a_sd * a_sr]),
+                 self.quadratic_rows("c1")),
+                scratch=self._scratch_row())
         return matrixkit.logdet_identity_plus_batch(
             a_sr * G + a_sd * self.gram("sd", "tx"))
+
+    def c2(self, a_sd: float, a_rd: float) -> np.ndarray:
+        """Per-sample multiple-access rate log2 det(I + a_sd G_sd + a_rd G_rd)
+        on receive-side Grams."""
+        G = self.gram("sd", "rx")
+        if G.ndim == 2:
+            return matrixkit.logdet_quadratic_2x2(
+                (np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd]),
+                 self.quadratic_rows("mac")))
+        return matrixkit.logdet_identity_plus_batch(
+            a_sd * G + a_rd * self.gram("rd", "rx"))
+
+    def coop(self, a_sd: float, a_rd: float, a_rd2: float) -> np.ndarray:
+        """Per-sample cooperative sum-rate log2 det(I + a_sd G_sd +
+        a_rd G_rd + a_rd2 G_rd2) on receive-side Grams.
+
+        The second relay's terms come last on both routes, so a_rd2 = 0
+        reproduces c2 bit for bit.
+        """
+        G = self.gram("sd", "rx")
+        if G.ndim == 2:
+            return matrixkit.logdet_quadratic_2x2(
+                (np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd]),
+                 self.quadratic_rows("mac")),
+                (np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2, a_rd * a_rd2]),
+                 self.quadratic_rows("rd2")),
+                scratch=self._scratch_row())
+        return matrixkit.logdet_identity_plus_batch(
+            a_sd * G + a_rd * self.gram("rd", "rx")
+            + a_rd2 * self.gram("rd2", "rx"))
 
 
 def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
@@ -315,84 +350,31 @@ def release_bank() -> None:
     _bank = None
 
 
-def _check_distance(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+def _scaled_power(scn: ScenarioConfig, power: str, name: str,
+                  d: float) -> float:
+    """Scaled power (P/N) d^-alpha of the source (power "P_s", over N_s
+    antennas) or a relay ("P_r", over N_r) at distance d. Raises
+    ValueError naming the distance when it is not > 0."""
+    if not d > 0:
+        raise ValueError(f"{name} must be > 0, got {d}")
+    antennas = scn.N_s if power == "P_s" else scn.N_r
+    return getattr(scn, power) / antennas * d ** (-scn.alpha)
 
 
-def _bound_arrays(scn: ScenarioConfig, mc: McConfig, need: tuple[str, ...],
-                  r_R: float | None = None, r_D: float | None = None,
-                  r_DR: float | None = None, r_DR2: float | None = None,
-                  P_r2: float | None = None) -> dict[str, np.ndarray]:
-    """Requested per-realization bound arrays on common channel draws.
-
-    Every bound is served from the live channel bank of (scn, mc): a probe
-    scales cached unit-distance statistics by its path loss and draws only
-    links no earlier probe has needed. c1 and c3 are the source's cuts on
-    transmit-side Grams: by Sylvester's identity the broadcast cut is
-    det(I + a_sd G_sd + a_sr G_sr). c2 and coop are the destination's on
-    receive-side Grams. With two antennas on that side each bound is a
-    quadratic form in the scaled powers; other sizes factor the weighted
-    Gram sum by Cholesky. Every array returned is fresh except c3, the
-    bank's read-only memo.
-    """
-    if not ((r_R is None or r_R > 0) and (r_D is None or r_D > 0)
-            and (r_DR is None or r_DR > 0) and (r_DR2 is None or r_DR2 > 0)):
-        for name, value in (("r_R", r_R), ("r_D", r_D), ("r_DR", r_DR),
-                            ("r_DR2", r_DR2)):
-            if value is not None:
-                _check_distance(name, value)
-    bank = _bank_for(scn, mc)
-    out: dict[str, np.ndarray] = {}
-
-    a_s = scn.P_s / scn.N_s
-    if "c1" in need:
-        out["c1"] = bank.c1(a_s * r_R ** (-scn.alpha), a_s * r_D ** (-scn.alpha))
-    if "c3" in need:
-        out["c3"] = bank.c3(a_s * r_R ** (-scn.alpha))
-    if "c2" not in need and "coop" not in need:
-        return out
-    a_sd = a_s * r_D ** (-scn.alpha)
-    a_rd = (scn.P_r / scn.N_r) * r_DR ** (-scn.alpha)
-    if "coop" in need:
-        p2 = scn.P_r if P_r2 is None else P_r2
-        if not p2 >= 0:
-            raise ValueError(f"second relay power must be >= 0, got {p2}")
-        a_rd2 = (p2 / scn.N_r) * r_DR2 ** (-scn.alpha)
-    # The second relay's terms come last in both routes, so P_r2 = 0
-    # reproduces c2 exactly.
-    if scn.M_d == 2:
-        w = np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd])
-        T = bank.quadratic_rows("mac")
-        if "c2" in need:
-            out["c2"] = matrixkit.logdet_quadratic_2x2(w, T)
-        if "coop" in need:
-            # Rows first, so rd2 is drawn before det exists and the two
-            # never add to one memory peak.
-            T2 = bank.quadratic_rows("rd2")
-            det = w @ T
-            det += 1.0
-            det += np.matmul(np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2,
-                                       a_rd * a_rd2]), T2, out=bank.scratch())
-            out["coop"] = matrixkit.log2_det(det)
-    else:
-        mac = a_sd * bank.gram("sd", "rx") + a_rd * bank.gram("rd", "rx")
-        if "c2" in need:
-            out["c2"] = matrixkit.logdet_identity_plus_batch(mac)
-        if "coop" in need:
-            out["coop"] = matrixkit.logdet_identity_plus_batch(
-                mac + a_rd2 * bank.gram("rd2", "rx"))
-    return out
-
-
-def c3_samples(scn: ScenarioConfig, r_R: float, mc: McConfig) -> np.ndarray:
-    """Per-realization source-relay rate log2 det(I + (P_s/N_s) r_R^-a H H†)."""
-    return _bound_arrays(scn, mc, ("c3",), r_R=r_R)["c3"]
+def _node_powers(scn: ScenarioConfig, r_R: float, r_D: float,
+                 r_DR: float) -> tuple[float, float, float]:
+    """(a_sr, a_sd, a_rd): scaled powers at the relay radius r_R, the
+    destination radius r_D and the relay-destination distance r_DR."""
+    return (_scaled_power(scn, "P_s", "r_R", r_R),
+            _scaled_power(scn, "P_s", "r_D", r_D),
+            _scaled_power(scn, "P_r", "r_DR", r_DR))
 
 
 def estimate_c3(scn: ScenarioConfig, r_R: float, mc: McConfig) -> BoundEstimate:
-    """Ergodic rate of the source-relay link at relay radius r_R."""
-    return summarize_samples(_bound_arrays(scn, mc, ("c3",), r_R=r_R)["c3"])
+    """Ergodic rate of the source-relay link at relay radius r_R:
+    E log2 det(I + (P_s/N_s) r_R^-a H H+)."""
+    a_sr = _scaled_power(scn, "P_s", "r_R", r_R)
+    return summarize_samples(_bank_for(scn, mc).c3(a_sr))
 
 
 def estimate_c2(scn: ScenarioConfig, r_D: float, r_DR: float,
@@ -402,8 +384,9 @@ def estimate_c2(scn: ScenarioConfig, r_D: float, r_DR: float,
     Mean of log2 det(I + (P_s/N_s) r_D^-a H_sd H_sd† +
     (P_r/N_r) r_DR^-a H_rd H_rd†) over common draws.
     """
-    arrays = _bound_arrays(scn, mc, ("c2",), r_D=r_D, r_DR=r_DR)
-    return summarize_samples(arrays["c2"])
+    a_sd = _scaled_power(scn, "P_s", "r_D", r_D)
+    a_rd = _scaled_power(scn, "P_r", "r_DR", r_DR)
+    return summarize_samples(_bank_for(scn, mc).c2(a_sd, a_rd))
 
 
 def estimate_c1(scn: ScenarioConfig, r_D: float, r_R: float,
@@ -414,28 +397,22 @@ def estimate_c1(scn: ScenarioConfig, r_D: float, r_R: float,
     H_bc stacking the path-loss-scaled source-destination and source-relay
     links.
     """
-    arrays = _bound_arrays(scn, mc, ("c1",), r_R=r_R, r_D=r_D)
-    return summarize_samples(arrays["c1"])
+    a_sr = _scaled_power(scn, "P_s", "r_R", r_R)
+    a_sd = _scaled_power(scn, "P_s", "r_D", r_D)
+    return summarize_samples(_bank_for(scn, mc).c1(a_sr, a_sd))
 
 
 def sample_bound_realizations(scn: ScenarioConfig, r_R: float, r_D: float,
-                              r_DR: float, mc: McConfig,
-                              r_DR2: float | None = None,
-                              P_r2: float | None = None) -> BoundSamples:
-    """Per-realization c1, c2, c3 (and cooperative sum-rate) on common draws.
+                              r_DR: float, mc: McConfig) -> BoundSamples:
+    """Per-realization c1, c2 and c3 on common draws.
 
     All bounds for one scenario share the per-sample channel realizations,
-    so orderings like c1 >= c3 hold pointwise. Supplying r_DR2 adds the
-    second relay's receive term and fills the coop array; P_r2 overrides
-    the second relay's transmit power (default: scn.P_r).
+    so orderings like c1 >= c3 hold pointwise.
     """
-    need = ("c1", "c2", "c3")
-    if r_DR2 is not None:
-        need = ("c1", "c2", "c3", "coop")
-    arrays = _bound_arrays(scn, mc, need, r_R=r_R, r_D=r_D, r_DR=r_DR,
-                           r_DR2=r_DR2, P_r2=P_r2)
-    return BoundSamples(c1=arrays["c1"], c2=arrays["c2"], c3=arrays["c3"],
-                        coop=arrays.get("coop"))
+    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
+    bank = _bank_for(scn, mc)
+    return BoundSamples(c1=bank.c1(a_sr, a_sd), c3=bank.c3(a_sr),
+                        c2=bank.c2(a_sd, a_rd))
 
 
 def resolve_distances(geom: NetworkGeometry) -> tuple[float, float, float]:
@@ -459,18 +436,22 @@ def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
     in place on the fresh c2 array: c3 is the bank's read-only memo.
     """
     r_R, r_D, r_DR = resolve_distances(geom)
-    arrays = _bound_arrays(scn, mc, ("c2", "c3"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    c2 = arrays["c2"]
-    return summarize_samples(np.minimum(arrays["c3"], c2, out=c2))
+    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
+    bank = _bank_for(scn, mc)
+    c3 = bank.c3(a_sr)
+    c2 = bank.c2(a_sd, a_rd)
+    return summarize_samples(np.minimum(c3, c2, out=c2))
 
 
 def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry,
                  mc: McConfig) -> BoundEstimate:
     """Cut-set upper bound min(c1, c2) for the geometry (common draws)."""
     r_R, r_D, r_DR = resolve_distances(geom)
-    arrays = _bound_arrays(scn, mc, ("c1", "c2"), r_R=r_R, r_D=r_D, r_DR=r_DR)
-    c2 = arrays["c2"]
-    return summarize_samples(np.minimum(arrays["c1"], c2, out=c2))
+    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
+    bank = _bank_for(scn, mc)
+    c1 = bank.c1(a_sr, a_sd)
+    c2 = bank.c2(a_sd, a_rd)
+    return summarize_samples(np.minimum(c1, c2, out=c2))
 
 
 def high_snr_rate(m: int, n: int, N_s: int, rho: float) -> float:

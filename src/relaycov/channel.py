@@ -27,21 +27,15 @@ class UnsupportedSizeError(ValueError):
 class LosPrototype:
     """Normalized line-of-sight matrix prototype.
 
-    kind is one of "poor" (all-ones, rank 1), "well" (orthogonal-row +/-1
-    matrix), or "custom". A resolved prototype always has squared Frobenius
-    norm rows*cols; custom matrices violating that are rejected unless
-    normalize is set, in which case they are rescaled.
+    kind is "poor" (all-ones, rank 1) or "well" (orthogonal-row +/-1
+    matrix). A resolved prototype has squared Frobenius norm rows*cols.
     """
 
     kind: str
-    matrix: np.ndarray | None = None
-    normalize: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("poor", "well", "custom"):
+        if self.kind not in ("poor", "well"):
             raise ValueError(f"unknown LOS prototype kind {self.kind!r}")
-        if self.kind == "custom" and self.matrix is None:
-            raise ValueError("custom LOS prototype requires a matrix")
 
     @classmethod
     def poorly_conditioned(cls) -> "LosPrototype":
@@ -50,10 +44,6 @@ class LosPrototype:
     @classmethod
     def well_conditioned(cls) -> "LosPrototype":
         return cls("well")
-
-    @classmethod
-    def custom(cls, matrix: np.ndarray, normalize: bool = False) -> "LosPrototype":
-        return cls("custom", np.asarray(matrix, dtype=np.complex128), normalize)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,40 +107,21 @@ def _hadamard(n: int) -> np.ndarray:
 def resolve_los(proto: LosPrototype, rows: int, cols: int) -> np.ndarray:
     """Materialize a LOS prototype at the requested size.
 
-    Built-in kinds require rows == cols in HADAMARD_SIZES; "well" at any
-    other size raises UnsupportedSizeError. Custom prototypes must match
-    the requested shape and carry squared Frobenius norm rows*cols unless
-    the prototype was created with normalize=True.
+    Both kinds are square; "well" at a size outside HADAMARD_SIZES raises
+    UnsupportedSizeError.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if proto.kind == "poor":
         if rows != cols:
             raise ValueError(
-                f"built-in LOS prototypes are square, got {rows}x{cols}")
+                f"LOS prototypes are square, got {rows}x{cols}")
         return np.ones((rows, cols), dtype=np.complex128)
-    if proto.kind == "well":
-        if rows != cols or rows not in HADAMARD_SIZES:
-            raise UnsupportedSizeError(
-                f"orthogonal-row prototype needs a square size in "
-                f"{HADAMARD_SIZES}, got {rows}x{cols}")
-        return _hadamard(rows).astype(np.complex128)
-    # custom
-    m = np.asarray(proto.matrix, dtype=np.complex128)
-    if m.shape != (rows, cols):
-        raise ValueError(
-            f"custom LOS matrix has shape {m.shape}, expected {(rows, cols)}")
-    target = float(rows * cols)
-    norm_sq = float(np.sum(np.abs(m) ** 2))
-    if norm_sq <= 0:
-        raise ValueError("custom LOS matrix must be nonzero")
-    if abs(norm_sq - target) <= 1e-9 * target:
-        return m.copy()
-    if not proto.normalize:
-        raise ValueError(
-            f"custom LOS matrix has squared Frobenius norm {norm_sq:g}, "
-            f"expected {target:g} (pass normalize=True to rescale)")
-    return m * np.sqrt(target / norm_sq)
+    if rows != cols or rows not in HADAMARD_SIZES:
+        raise UnsupportedSizeError(
+            f"orthogonal-row prototype needs a square size in "
+            f"{HADAMARD_SIZES}, got {rows}x{cols}")
+    return _hadamard(rows).astype(np.complex128)
 
 
 def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,

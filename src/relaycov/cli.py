@@ -17,7 +17,7 @@ from . import __version__, capacity, cooperation, coverage
 from .capacity import McConfig, ParameterError, ScenarioConfig
 from .channel import FadingModel, LosPrototype, NetworkGeometry
 from .cooperation import HataParams
-from .coverage import NoSolutionError, SolverConfig
+from .coverage import BracketError, NoSolutionError, SolverConfig
 
 COMMANDS = ("bounds", "optloc", "coverage", "coop")
 
@@ -31,7 +31,7 @@ _INT_KEYS = {
     "angular_steps", "sweep_points",
 }
 _FADING_KEYS = {"fading_sr", "fading_sd", "fading_rd"}
-_STR_KEYS = {"command", "out", "metric"}
+_STR_KEYS = {"out", "metric"}
 _BOOL_KEYS = {"json", "exploit_symmetry"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _FADING_KEYS | _STR_KEYS | _BOOL_KEYS
 
@@ -179,7 +179,8 @@ def parse_config(text: str) -> RunManifest:
 
     Unknown keys are rejected by name, malformed lines by line number, and
     invariant violations by field. An empty document yields the full
-    default manifest.
+    default manifest. The command is not a config key: main takes it from
+    the command line.
     """
     values: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -202,10 +203,6 @@ def parse_config(text: str) -> RunManifest:
     def take(name, default):
         return values.get(name, default)
 
-    command = str(take("command", "bounds")).lower()
-    if command not in COMMANDS:
-        raise ConfigError("validation", "command",
-                          f"command must be one of {COMMANDS}, got {command!r}")
     metric = str(take("metric", "df")).lower()
     if metric not in ("df", "cutset"):
         raise ConfigError("validation", "metric",
@@ -246,7 +243,7 @@ def parse_config(text: str) -> RunManifest:
         raise ConfigError("validation", exc.field, str(exc))
 
     return RunManifest(
-        scenario=scenario, mc=mc, solver=solver, command=command,
+        scenario=scenario, mc=mc, solver=solver,
         output_path=take("out", None), emit_json=bool(take("json", False)),
         options=options,
     )
@@ -545,6 +542,12 @@ def main(argv=None) -> int:
         return run(manifest)
     except ConfigError as exc:
         print(exc.as_json(), file=sys.stderr)
+        return 2
+    except BracketError as exc:
+        # Every solve brackets its radius by [r_lo, r_hi]; the target rate
+        # is still met at r_hi, so that bound is the key at fault.
+        print(ConfigError("validation", "r_hi", str(exc)).as_json(),
+              file=sys.stderr)
         return 2
     except NoSolutionError as exc:
         print(json.dumps({"error": "no-solution", "field": "R_c",

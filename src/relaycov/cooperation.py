@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity, channel, coverage, matrixkit
+from . import capacity, channel, coverage
 from .capacity import (BoundEstimate, McConfig, ParameterError, ScenarioConfig,
                        digamma)
 from .channel import NetworkGeometry
@@ -58,21 +58,22 @@ class ExtensionFactors:
 
 
 def estimate_coop_sum_rate(scn: ScenarioConfig, r_D: float, r_DR1: float,
-                           r_DR2: float, mc: McConfig,
-                           P_r2: float | None = None) -> BoundEstimate:
+                           r_DR2: float, mc: McConfig) -> BoundEstimate:
     """Sum-rate at a destination hearing the source and two relays.
 
     Monte Carlo mean of log2 det(I + (P_s/N_s) r_D^-a H_s H_s† +
-    (P_r/N_r) r_DR1^-a H_1 H_1† + (P_r2/N_r) r_DR2^-a H_2 H_2†) on draws
-    aligned with the noncooperative estimators; P_r2 defaults to scn.P_r.
+    (P_r/N_r) r_DR1^-a H_1 H_1† + (P_r/N_r) r_DR2^-a H_2 H_2†) on draws
+    aligned with the noncooperative estimators.
     """
-    arrays = capacity._bound_arrays(scn, mc, ("coop",), r_D=r_D, r_DR=r_DR1,
-                                    r_DR2=r_DR2, P_r2=P_r2)
-    return capacity.summarize_samples(arrays["coop"])
+    a_sd = capacity._scaled_power(scn, "P_s", "r_D", r_D)
+    a_rd = capacity._scaled_power(scn, "P_r", "r_DR", r_DR1)
+    a_rd2 = capacity._scaled_power(scn, "P_r", "r_DR2", r_DR2)
+    return capacity.summarize_samples(
+        capacity._bank_for(scn, mc).coop(a_sd, a_rd, a_rd2))
 
 
-def coop_df_rate(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
-                 P_r2: float | None = None) -> BoundEstimate:
+def coop_df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
+                 mc: McConfig) -> BoundEstimate:
     """Decode-and-forward rate with the two nearest relays cooperating.
 
     Per realization min(relay-link rate, cooperative sum-rate), averaged;
@@ -80,12 +81,15 @@ def coop_df_rate(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
     The minimum is taken in place on the fresh sum-rate array.
     """
     r_DR1, r_DR2 = two_relay_distances(geom)
-    arrays = capacity._bound_arrays(
-        scn, mc, ("c3", "coop"), r_R=geom.relay_radius, r_D=geom.dest_radius,
-        r_DR=max(r_DR1, channel.MIN_LINK_DISTANCE),
-        r_DR2=max(r_DR2, channel.MIN_LINK_DISTANCE), P_r2=P_r2)
-    coop = arrays["coop"]
-    return capacity.summarize_samples(np.minimum(arrays["c3"], coop, out=coop))
+    a_sr, a_sd, a_rd = capacity._node_powers(
+        scn, geom.relay_radius, geom.dest_radius,
+        max(r_DR1, channel.MIN_LINK_DISTANCE))
+    a_rd2 = capacity._scaled_power(
+        scn, "P_r", "r_DR2", max(r_DR2, channel.MIN_LINK_DISTANCE))
+    bank = capacity._bank_for(scn, mc)
+    c3 = bank.c3(a_sr)
+    coop = bank.coop(a_sd, a_rd, a_rd2)
+    return capacity.summarize_samples(np.minimum(c3, coop, out=coop))
 
 
 def two_relay_distances(geom: NetworkGeometry) -> tuple[float, float]:
@@ -282,7 +286,6 @@ def extension_factor(K2: float, P_d: float, gamma: float,
 def coop_coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,
                            angular_steps: int, mc: McConfig,
                            solver: SolverConfig,
-                           P_r2: float | None = None,
                            exploit_symmetry: bool = True) -> CoverageRegion:
     """Coverage boundary when each destination hears its two nearest relays.
 
@@ -296,7 +299,7 @@ def coop_coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,
     def rate(theta_D: float, r_D: float) -> float:
         geom = NetworkGeometry(relay_radius=r_R, relay_count=L,
                                dest_radius=r_D, dest_angle=theta_D)
-        return coop_df_rate(scn, geom, mc, P_r2=P_r2).mean
+        return coop_df_rate(scn, geom, mc).mean
 
     return coverage.sweep_boundary(rate, scn.R_c, L, angular_steps, solver,
                                    "df", exploit_symmetry)

@@ -176,19 +176,6 @@ def solve_ray(rate: Callable[[float, float], float], theta_D: float,
     return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol, solver.max_iter)
 
 
-def max_coverage_radius(scn: ScenarioConfig, r_R: float, theta_D: float,
-                        L: int, mc: McConfig, solver: SolverConfig,
-                        metric: str = "df") -> float:
-    """Coverage range along the ray theta_D for a fixed relay radius.
-
-    The serving relay and off-axis angle come from the sector assignment;
-    probes share the seed so bisection sees a monotone function. A return
-    of 0.0 flags "unachievable at any radius >= r_lo".
-    """
-    rate = _rate_objective(scn, r_R, L, mc, metric)
-    return solve_ray(rate, theta_D, scn.R_c, solver)
-
-
 def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
                    L: int, angular_steps: int, solver: SolverConfig,
                    metric: str, exploit_symmetry: bool = True) -> CoverageRegion:

@@ -87,21 +87,27 @@ def mixed_discriminant_2x2(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return P[0] * Q[1] + P[1] * Q[0] - 2.0 * (P[2] * Q[2] + P[3] * Q[3])
 
 
-def logdet_quadratic_2x2(w: np.ndarray, T: np.ndarray,
-                         base: float | np.ndarray = 1.0) -> np.ndarray:
-    """log2(base + w @ T), in bits, for a determinant written as a quadratic
-    form in scalar powers.
+def logdet_quadratic_2x2(*terms: tuple[np.ndarray, np.ndarray],
+                         scratch: np.ndarray | None = None) -> np.ndarray:
+    """log2(1 + sum_k w_k @ T_k), in bits, for a determinant written as a
+    quadratic form in scalar powers.
 
     For 2x2 Grams G_k, det(I + sum_k a_k G_k) = 1 + sum_k a_k tr G_k +
     sum_k a_k^2 det G_k + sum_{k<l} a_k a_l <G_k, G_l>, so a probe needs
-    only the dot of its monomials w with per-sample coefficient rows T
-    (k, n). Like the Cholesky route, raises numpy.linalg.LinAlgError when a
-    determinant is not finite and positive rather than returning NaN.
+    only the dots of its monomials w with per-sample coefficient rows T
+    (k, n), given as (w, T) terms. The determinant is built in place on
+    the first dot's fresh output, which is returned; each later dot is
+    written to scratch (a per-sample row, overwritten) when given. Like the
+    Cholesky route, raises numpy.linalg.LinAlgError when a determinant is
+    not finite and positive rather than returning NaN.
     """
-    # Built in place on the dot's fresh output; addition commutes, so this
-    # is base + w @ T bit for bit.
+    # Built in place; addition commutes, so det is 1 + w @ T + ... bit for
+    # bit, summed left to right.
+    (w, T), *rest = terms
     det = w @ T
-    det += base
+    det += 1.0
+    for w, T in rest:
+        det += np.matmul(w, T, out=scratch)
     return log2_det(det)
 
 

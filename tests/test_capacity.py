@@ -215,6 +215,25 @@ class TestDfAndCutset:
                  for r in (1.0, 1.5, 2.0, 3.0)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("probe,name", [
+        (lambda scn, mc: sample_bound_realizations(scn, 0.0, -1.0, 0.0, mc),
+         "r_R"),
+        (lambda scn, mc: sample_bound_realizations(scn, 1.0, -1.0, 0.0, mc),
+         "r_D"),
+        (lambda scn, mc: df_rate(scn, NetworkGeometry(0.0, 4, 1.0, 0.3), mc),
+         "r_R"),
+        (lambda scn, mc: estimate_c2(scn, 1.0, 0.0, mc), "r_DR"),
+        (lambda scn, mc: cooperation.estimate_coop_sum_rate(
+            scn, 1.0, 0.5, 0.0, mc), "r_DR2"),
+        (lambda scn, mc: cooperation.coop_df_rate(
+            scn, NetworkGeometry(0.9, 4, 0.0, 0.3), mc), "r_D"),
+    ], ids=["c1-r_R-first", "c1-r_D-before-r_DR", "df-r_R", "c2-r_DR",
+            "coop-r_DR2", "coop-df-r_D"])
+    def test_first_bad_distance_is_named(self, probe, name):
+        # Distances are checked in the order r_R, r_D, r_DR, r_DR2.
+        with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+            probe(ScenarioConfig(), McConfig(samples=10))
+
 
 class TestDeterminism:
     def test_identical_config_identical_estimate(self):
@@ -235,7 +254,8 @@ class TestDeterminism:
         # so their per-sample relay-link rates coincide exactly.
         scn = ScenarioConfig()
         mc = McConfig(samples=3000)
-        c3 = capacity.c3_samples(scn, 0.9, mc)
+        c3 = estimate_c3(scn, 0.9, mc)._values
+        capacity.release_bank()
         s = sample_bound_realizations(scn, r_R=0.9, r_D=1.2, r_DR=0.8, mc=mc)
         assert np.array_equal(c3, s.c3)
 

@@ -38,23 +38,15 @@ class TestResolveLos:
         with pytest.raises(UnsupportedSizeError):
             resolve_los(LosPrototype.well_conditioned(), 3, 3)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            LosPrototype("custom")
+
     def test_frobenius_normalization(self):
         for proto in (LosPrototype.poorly_conditioned(), LosPrototype.well_conditioned()):
             for n in (2, 4, 8):
                 H = resolve_los(proto, n, n)
                 assert np.sum(np.abs(H) ** 2) == pytest.approx(n * n)
-
-    def test_custom_rejected_without_normalize(self):
-        with pytest.raises(ValueError):
-            resolve_los(LosPrototype.custom(np.eye(2)), 2, 2)
-
-    def test_custom_normalized(self):
-        H = resolve_los(LosPrototype.custom(np.eye(2), normalize=True), 2, 2)
-        assert np.allclose(H, np.sqrt(2) * np.eye(2))
-
-    def test_custom_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            resolve_los(LosPrototype.custom(np.eye(2), normalize=True), 2, 3)
 
 
 class TestFadingModel:
@@ -109,9 +101,7 @@ class TestSampleLink:
         (FadingModel.rayleigh(), 3, 2),
         (FadingModel.rician(4.0, LosPrototype.poorly_conditioned()), 2, 2),
         (FadingModel.rician(0.7, LosPrototype.well_conditioned()), 4, 4),
-        (FadingModel.rician(2.5, LosPrototype.custom(
-            np.array([[1 + 2j, -0.5j], [0.3, 1 - 1j]]), normalize=True)), 2, 2),
-    ], ids=["rayleigh", "rician-poor", "rician-well", "custom-complex-los"])
+    ], ids=["rayleigh", "rician-poor", "rician-well"])
     def test_bit_equal_to_out_of_place_formula(self, model, rows, cols):
         n, alpha = 500, 3.52
         z = make_rng(21).standard_normal((n, rows, cols, 2))

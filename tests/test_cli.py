@@ -76,15 +76,19 @@ class TestParseConfig:
         assert m.scenario.fading_sr.k_factor == pytest.approx(10.0)
 
     def test_command_and_flags(self):
-        m = parse_config("command=coverage\njson=true\nout=x.csv\nmetric=cutset\n")
-        assert m.command == "coverage"
+        m = parse_config("json=true\nout=x.csv\nmetric=cutset\n")
+        assert m.command == "bounds"  # main sets it from the command line
         assert m.emit_json is True
         assert m.output_path == "x.csv"
         assert m.options.metric == "cutset"
 
     def test_bad_command(self):
-        with pytest.raises(ConfigError):
-            parse_config("command=fly\n")
+        # The command is not a config key, so any value is rejected.
+        for value in ("fly", "coop"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"command={value}\n")
+            assert err.value.code == "unknown-key"
+            assert err.value.field == "command"
 
 
 SMALL = "samples=400\nseed=7\n"
@@ -303,6 +307,19 @@ class TestRejectedKeyIsNamed:
         assert err["field"] == "streams"
         assert not out.exists()
 
+    def test_command_is_an_unknown_key(self, tmp_path, capsys):
+        # The command line names the command; a config key that it
+        # overrode would be silently ignored.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("command=coop\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unknown-key"
+        assert err["field"] == "command"
+        assert not out.exists()
+
 
 class TestRejectedBeforeAnyFile:
     """Inputs that only fail once the command builds its geometry are
@@ -317,10 +334,15 @@ class TestRejectedBeforeAnyFile:
         ("optloc", "sweep_start=1e-300\n", "sweep_start"),
         ("optloc", "P_s=1e300\n", "P_s"),
         ("coverage", "backoff=1e-200\nsamples=500\n", "backoff"),
+        ("optloc", "r_hi=0.5\nsamples=1000\n", "r_hi"),
+        ("coverage", "r_hi=0.5\nsamples=1000\n", "r_hi"),
+        ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi"),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
             "bounds-relay-on-a-node", "coop-extension-factor-underflow",
             "coverage-relay-radius-overflows", "optloc-start-overflows",
-            "optloc-power-overflows", "coverage-backoff-overflows"])
+            "optloc-power-overflows", "coverage-backoff-overflows",
+            "optloc-bracket-too-narrow", "coverage-radius-bracket-too-narrow",
+            "coverage-ray-bracket-too-narrow"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config,
                                     key):
         cfg = tmp_path / "bad.cfg"
@@ -375,7 +397,6 @@ def manifests(draw):
                     samples=draw(st.integers(1, 10**6))),
         solver=SolverConfig(r_lo=r_lo, r_hi=r_hi, tol=draw(POSITIVE),
                             max_iter=draw(st.integers(1, 1000))),
-        command=draw(st.sampled_from(cli.COMMANDS)),
         output_path=draw(st.none() | st.text(
             "abcXYZ019._-/", min_size=1, max_size=20)),
         emit_json=draw(st.booleans()),
@@ -405,7 +426,7 @@ def manifest_text(m: RunManifest) -> str:
     pairs = {f.name: getattr(m.scenario, f.name) for f in fields(m.scenario)}
     pairs.update(seed=m.mc.seed, samples=m.mc.samples)
     pairs.update({f.name: getattr(m.solver, f.name) for f in fields(m.solver)})
-    pairs.update(command=m.command, out=m.output_path, json=m.emit_json)
+    pairs.update(out=m.output_path, json=m.emit_json)
     pairs.update({f.name: getattr(m.options, f.name)
                   for f in fields(m.options) if f.name != "hata"})
     pairs.update(hata_A=m.options.hata.A, hata_B=m.options.hata.B)

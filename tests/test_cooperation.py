@@ -5,6 +5,7 @@ import pytest
 
 from relaycov import cooperation
 from relaycov.capacity import (
+    ChannelBank,
     McConfig,
     ParameterError,
     ScenarioConfig,
@@ -43,20 +44,21 @@ def make_rng(seed=7):
 
 class TestCoopSumRate:
     def test_zero_second_relay_power_degenerates_to_mac(self):
-        # P_r2 = 0 zeroes the third receive term exactly, so the estimate
-        # coincides bit for bit with the noncooperative MAC estimator.
-        scn = ScenarioConfig()
-        mc = McConfig(samples=4000)
-        coop = estimate_coop_sum_rate(scn, 1.0, 0.8, 1.3, mc, P_r2=0.0)
-        noncoop = estimate_c2(scn, 1.0, 0.8, mc)
-        assert coop.mean == noncoop.mean
+        # A zero-power second relay zeroes the third receive term exactly,
+        # on the quadratic-form (2x2) and the Cholesky (3x3) route, so the
+        # sum-rate coincides bit for bit with the noncooperative MAC rate.
+        for scn in (ScenarioConfig(), ScenarioConfig(N_s=3, N_r=3, M_d=3)):
+            bank = ChannelBank(scn, McConfig(samples=4000))
+            for a_sd, a_rd in ((5.0, 7.0), (0.3, 40.0)):
+                assert np.array_equal(bank.coop(a_sd, a_rd, 0.0),
+                                      bank.c2(a_sd, a_rd))
 
     def test_dominates_noncoop_per_sample(self):
         scn = ScenarioConfig()
         mc = McConfig(samples=10_000)
-        s = sample_bound_realizations(scn, r_R=0.95, r_D=1.3, r_DR=0.8,
-                                      mc=mc, r_DR2=1.6)
-        assert np.all(s.coop >= s.c2 - 1e-9)
+        coop = estimate_coop_sum_rate(scn, 1.3, 0.8, 1.6, mc)._values
+        c2 = estimate_c2(scn, 1.3, 0.8, mc)._values
+        assert np.all(coop >= c2 - 1e-9)
 
     def test_brute_force_cross_check(self):
         # All distances 1, P = 10: independent-oracle rerun with a different
@@ -292,8 +294,9 @@ class TestCoopCoverage:
         geom = NetworkGeometry(0.95, 4, 1.8, math.radians(30.0))
         r_DR1, r_DR2 = two_relay_distances(geom)
         s = sample_bound_realizations(scn, r_R=0.95, r_D=1.8, r_DR=r_DR1,
-                                      mc=mc, r_DR2=r_DR2)
-        assert np.all(np.minimum(s.c3, s.coop) >= np.minimum(s.c3, s.c2) - 1e-9)
+                                      mc=mc)
+        coop = estimate_coop_sum_rate(scn, 1.8, r_DR1, r_DR2, mc)._values
+        assert np.all(np.minimum(s.c3, coop) >= np.minimum(s.c3, s.c2) - 1e-9)
         assert coop_df_rate(scn, geom, mc).mean >= np.minimum(s.c3, s.c2).mean()
 
     def test_boundary_dominates_noncoop_everywhere(self):
@@ -308,14 +311,19 @@ class TestCoopCoverage:
         edge = np.argmin(noncoop.radii)
         assert gains[edge] == pytest.approx(np.max(gains), abs=1e-9)
 
-    def test_zero_power_second_relay_matches_noncoop(self):
+    def test_zero_power_second_relay_matches_noncoop(self, monkeypatch):
+        # Silence the second relay: the cooperative rate is then the
+        # noncooperative one bit for bit, and so is the boundary.
+        coop = ChannelBank.coop
+        monkeypatch.setattr(
+            ChannelBank, "coop",
+            lambda bank, a_sd, a_rd, a_rd2: coop(bank, a_sd, a_rd, 0.0))
         scn = ScenarioConfig()
         mc = McConfig(samples=2000)
         solver = SolverConfig()
         noncoop = coverage_boundary(scn, 0.95, 4, 16, mc, solver)
-        degenerate = coop_coverage_boundary(scn, 0.95, 4, 16, mc, solver,
-                                            P_r2=0.0)
-        assert np.max(np.abs(degenerate.radii - noncoop.radii)) <= 2 * solver.tol
+        degenerate = coop_coverage_boundary(scn, 0.95, 4, 16, mc, solver)
+        assert degenerate == noncoop
 
     def test_needs_two_relays(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from relaycov.coverage import (
     SolverConfig,
     bisect_largest,
     coverage_boundary,
-    max_coverage_radius,
     optimal_relay_radius,
     rate_vs_relay_radius,
 )
@@ -108,30 +107,32 @@ class TestRateVsRelayRadius:
 
 
 class TestMaxCoverageRadius:
+    # The radius of one ray, read off a 16-angle sweep (22.5 degree steps).
     def test_largest_on_relay_axis(self):
         scn = ScenarioConfig()
         mc = McConfig(samples=4000)
         solver = SolverConfig()
-        on_axis = max_coverage_radius(scn, 0.95, 0.0, 4, mc, solver)
-        mid = max_coverage_radius(scn, 0.95, math.radians(22.5), 4, mc, solver)
-        edge = max_coverage_radius(scn, 0.95, math.radians(45.0), 4, mc, solver)
+        radii = coverage_boundary(scn, 0.95, 4, 16, mc, solver).radii
+        on_axis, mid, edge = radii[:3]  # 0, 22.5 and 45 degrees
         assert on_axis >= mid - solver.tol
         assert mid >= edge - solver.tol
         assert on_axis > edge
 
     def test_unachievable_returns_zero(self):
         scn = ScenarioConfig(R_c=50.0)
-        assert max_coverage_radius(scn, 0.95, 0.0, 4, McConfig(samples=500),
-                                   SolverConfig()) == 0.0
+        region = coverage_boundary(scn, 0.95, 4, 16, McConfig(samples=500),
+                                   SolverConfig())
+        assert np.all(region.radii == 0.0)
 
     def test_cutset_metric_dominates_df(self):
         scn = ScenarioConfig()
         mc = McConfig(samples=4000)
         solver = SolverConfig()
-        r_df = max_coverage_radius(scn, 0.95, 0.3, 4, mc, solver, metric="df")
-        r_cs = max_coverage_radius(scn, 0.95, 0.3, 4, mc, solver,
-                                   metric="cutset")
-        assert r_cs >= r_df - solver.tol
+        r_df = coverage_boundary(scn, 0.95, 4, 16, mc, solver,
+                                 metric="df").radii
+        r_cs = coverage_boundary(scn, 0.95, 4, 16, mc, solver,
+                                 metric="cutset").radii
+        assert np.all(r_cs >= r_df - solver.tol)
 
 
 class TestCoverageBoundary:

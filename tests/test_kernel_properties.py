@@ -58,11 +58,11 @@ def test_quadratic_form_matches_cholesky(stacks, a, b, c):
     w = mac_weights(a, b)
     T = mac_rows(P, Q)
     np.testing.assert_allclose(
-        matrixkit.logdet_quadratic_2x2(w, T),
+        matrixkit.logdet_quadratic_2x2((w, T)),
         matrixkit.logdet_identity_plus_batch(a * G1 + b * G2),
         rtol=0, atol=1e-12)
     coop = matrixkit.logdet_quadratic_2x2(
-        np.array([c, c * c, a * c, b * c]), ext_rows(P, Q, R), base=1.0 + w @ T)
+        (w, T), (np.array([c, c * c, a * c, b * c]), ext_rows(P, Q, R)))
     np.testing.assert_allclose(
         coop, matrixkit.logdet_identity_plus_batch(a * G1 + b * G2 + c * G3),
         rtol=0, atol=1e-12)
@@ -74,9 +74,10 @@ def test_zero_weight_extension_is_bit_equal_to_c2(stacks, a, b):
     P, Q, R = (matrixkit.gram_entries_2x2(H) for H in stacks)
     w = mac_weights(a, b)
     T = mac_rows(P, Q)
-    c2 = matrixkit.logdet_quadratic_2x2(w, T)
-    coop = matrixkit.logdet_quadratic_2x2(np.zeros(4), ext_rows(P, Q, R),
-                                          base=1.0 + w @ T)
+    c2 = matrixkit.logdet_quadratic_2x2((w, T))
+    # As the bank adds a second term: through a scratch row.
+    coop = matrixkit.logdet_quadratic_2x2(
+        (w, T), (np.zeros(4), ext_rows(P, Q, R)), scratch=np.empty(P.shape[1]))
     assert np.array_equal(coop, c2)
 
 
@@ -153,8 +154,8 @@ def test_c3_nonincreasing_in_relay_radius(N_s, M_r, los, near, far, seed):
     scn = ScenarioConfig(N_s=N_s, M_r=M_r, fading_sr=fading)
     mc = McConfig(seed=seed, samples=64)
     try:
-        c3_near = capacity.c3_samples(scn, near, mc)
-        c3_far = capacity.c3_samples(scn, far, mc)
+        c3_near = capacity.estimate_c3(scn, near, mc)._values
+        c3_far = capacity.estimate_c3(scn, far, mc)._values
     finally:
         capacity.release_bank()
     assert np.all(c3_far <= c3_near + 1e-12)

@@ -62,8 +62,9 @@ class TestBitEqualToOutOfPlace:
     def test_estimators(self, scn):
         mc = McConfig(samples=3000)
         r_R, r_D, r_DR, r_DR2 = 0.9, 1.3, 0.7, 1.6
-        capacity.estimate_c3(scn, r_R, mc)  # draw every link first
-        capacity.sample_bound_realizations(scn, r_R, r_D, r_DR, mc, r_DR2=r_DR2)
+        # Draw every link first.
+        capacity.estimate_c3(scn, r_R, mc)
+        cooperation.estimate_coop_sum_rate(scn, r_D, r_DR, r_DR2, mc)
         old = old_formulas(scn, mc, r_R, r_D, r_DR, r_DR2)
         assert_same(capacity.estimate_c3(scn, r_R, mc), old["c3"])
         assert_same(capacity.estimate_c2(scn, r_D, r_DR, mc), old["c2"])
@@ -71,15 +72,18 @@ class TestBitEqualToOutOfPlace:
         assert_same(cooperation.estimate_coop_sum_rate(
             scn, r_D, r_DR, r_DR2, mc), old["coop"])
         # A second relay of zero power still reproduces c2 bit for bit.
-        assert_same(cooperation.estimate_coop_sum_rate(
-            scn, r_D, r_DR, r_DR2, mc, P_r2=0.0), old["c2"])
+        a_sd = scn.P_s / scn.N_s * r_D ** -scn.alpha
+        a_rd = scn.P_r / scn.N_r * r_DR ** -scn.alpha
+        assert np.array_equal(
+            capacity._bank_for(scn, mc).coop(a_sd, a_rd, 0.0), old["c2"])
 
     def test_minimum_rates(self, scn):
         mc = McConfig(samples=3000)
         geom = self.GEOM
         r_R, r_D, r_DR = capacity.resolve_distances(geom)
         d1, d2 = cooperation.two_relay_distances(geom)
-        capacity.sample_bound_realizations(scn, r_R, r_D, r_DR, mc, r_DR2=d2)
+        # Draw every link first.
+        cooperation.estimate_coop_sum_rate(scn, r_D, r_DR, d2, mc)
         old = old_formulas(scn, mc, r_R, r_D, r_DR, d2)
         assert_same(capacity.df_rate(scn, geom, mc),
                     np.minimum(old["c3"], old["c2"]))
@@ -93,9 +97,11 @@ class TestBitEqualToOutOfPlace:
 def test_later_probes_leave_handed_out_arrays_untouched():
     scn, mc = ScenarioConfig(), McConfig(samples=2000)
     capacity.release_bank()
-    s = capacity.sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc, r_DR2=1.6)
-    memo = capacity.c3_samples(scn, 0.9, mc)
-    kept = {name: getattr(s, name).copy() for name in ("c1", "c2", "c3", "coop")}
+    s = capacity.sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
+    coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)._values
+    memo = capacity.estimate_c3(scn, 0.9, mc)._values
+    handed_out = {"c1": s.c1, "c2": s.c2, "c3": s.c3, "coop": coop}
+    kept = {name: values.copy() for name, values in handed_out.items()}
     kept_memo = memo.copy()
     for r_D in (0.2, 0.9, 1.3, 2.5):
         geom = NetworkGeometry(relay_radius=0.9, relay_count=4,
@@ -105,10 +111,10 @@ def test_later_probes_leave_handed_out_arrays_untouched():
         cooperation.coop_df_rate(scn, geom, mc)
         capacity.estimate_c2(scn, r_D, 0.7, mc)
         cooperation.estimate_coop_sum_rate(scn, r_D, 0.7, 1.6, mc)
-    assert capacity.c3_samples(scn, 0.9, mc) is memo
+    assert capacity.estimate_c3(scn, 0.9, mc)._values is memo
     assert np.array_equal(memo, kept_memo)
     for name, values in kept.items():
-        assert np.array_equal(getattr(s, name), values), name
+        assert np.array_equal(handed_out[name], values), name
     capacity.release_bank()
 
 
