@@ -21,20 +21,6 @@ from .coverage import BracketError, NoSolutionError, SolverConfig
 
 COMMANDS = ("bounds", "optloc", "coverage", "coop")
 
-_FLOAT_KEYS = {
-    "P_s", "P_r", "alpha", "R_c", "r_lo", "r_hi", "tol", "backoff",
-    "d_y", "sweep_start", "sweep_stop", "relay_radius", "hata_A", "hata_B",
-}
-_DB_KEYS = {"P_s", "P_r"}  # accept a "dB" suffix, converted to linear
-_INT_KEYS = {
-    "N_s", "N_r", "M_r", "M_d", "L", "seed", "samples", "max_iter",
-    "angular_steps", "sweep_points",
-}
-_FADING_KEYS = {"fading_sr", "fading_sd", "fading_rd"}
-_STR_KEYS = {"out", "metric"}
-_BOOL_KEYS = {"json", "exploit_symmetry"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _FADING_KEYS | _STR_KEYS | _BOOL_KEYS
-
 
 class ConfigError(ValueError):
     """Config rejected; carries the machine-readable error fields."""
@@ -88,6 +74,9 @@ class SweepOptions:
             raise ParameterError(
                 "relay_radius",
                 f"relay_radius must be > 0, got {self.relay_radius}")
+        if self.metric not in ("df", "cutset"):
+            raise ParameterError(
+                "metric", f"metric must be 'df' or 'cutset', got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -104,85 +93,119 @@ class RunManifest:
     options: SweepOptions = SweepOptions()
 
 
-def _parse_scalar(key: str, raw: str, line_no: int):
-    text = raw.strip()
-    if key in _DB_KEYS and text.lower().endswith("db"):
-        try:
-            return 10.0 ** (float(text[:-2].strip()) / 10.0)
-        except ValueError:
-            raise ConfigError("parse", key,
-                              f"line {line_no}: bad dB value {raw!r}")
+def _linear(text: str) -> float:
+    """A number, or a decibel value with a "dB" suffix, as a linear float.
+
+    A decibel value too large for a float reads as inf, which validation
+    rejects like any other non-finite value.
+    """
+    body = text.strip()
+    decibels = body.lower().endswith("db")
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
+        value = float(body[:-2] if decibels else body)
     except ValueError:
-        raise ConfigError("parse", key, f"line {line_no}: bad number {raw!r}")
-    if key in _BOOL_KEYS:
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError("parse", key, f"line {line_no}: bad flag {raw!r}")
-    return text
+        raise ValueError(f"bad {'dB value' if decibels else 'number'} {text!r}")
+    if not decibels:
+        return value
+    try:
+        return 10.0 ** (value / 10.0)
+    except OverflowError:
+        return math.inf
 
 
-def _parse_fading(key: str, raw: str, line_no: int) -> FadingModel:
+def _number(cast):
+    def read(raw: str):
+        try:
+            return cast(raw.strip())
+        except ValueError:
+            raise ValueError(f"bad number {raw!r}")
+    return read
+
+
+def _flag(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"bad flag {raw!r}")
+
+
+def _fading(raw: str) -> FadingModel:
     text = raw.strip().lower()
     if text == "rayleigh":
         return FadingModel.rayleigh()
     if not text.startswith("rician"):
-        raise ConfigError("parse", key,
-                          f"line {line_no}: unknown fading {raw!r} "
-                          f"(expected 'rayleigh' or 'rician:K=..:los=..')")
-    k_factor = None
-    los = None
+        raise ValueError(f"unknown fading {raw!r} "
+                         f"(expected 'rayleigh' or 'rician:K=..:los=..')")
+    k_factor = los = None
     for part in text.split(":")[1:]:
         if "=" not in part:
-            raise ConfigError("parse", key,
-                              f"line {line_no}: bad fading clause {part!r}")
-        name, value = part.split("=", 1)
-        name, value = name.strip(), value.strip()
+            raise ValueError(f"bad fading clause {part!r}")
+        name, value = (side.strip() for side in part.split("=", 1))
         if name == "k":
             try:
-                if value.endswith("db"):
-                    k_factor = 10.0 ** (float(value[:-2]) / 10.0)
-                else:
-                    k_factor = float(value)
+                k_factor = _linear(value)
             except ValueError:
-                raise ConfigError("parse", key,
-                                  f"line {line_no}: bad K value {value!r}")
+                raise ValueError(f"bad K value {value!r}")
         elif name == "los":
             if value in ("poor", "poorly_conditioned"):
                 los = LosPrototype.poorly_conditioned()
             elif value in ("well", "well_conditioned"):
                 los = LosPrototype.well_conditioned()
             else:
-                raise ConfigError("parse", key,
-                                  f"line {line_no}: unknown LOS kind {value!r}")
+                raise ValueError(f"unknown LOS kind {value!r}")
         else:
-            raise ConfigError("parse", key,
-                              f"line {line_no}: unknown fading field {name!r}")
+            raise ValueError(f"unknown fading field {name!r}")
     if k_factor is None or los is None:
-        raise ConfigError("parse", key,
-                          f"line {line_no}: rician fading needs K=.. and los=..")
+        raise ValueError("rician fading needs K=.. and los=..")
     try:
         return FadingModel.rician(k_factor, los)
     except ValueError as exc:
-        raise ConfigError("validation", key, f"line {line_no}: {exc}")
+        # A K that reads as a number but is out of range is invalid, not
+        # unreadable.
+        raise ParameterError("K", str(exc))
 
 
-def parse_config(text: str) -> RunManifest:
+# Value readers by field type; other fields (float, float | None) read as
+# floats, and the keys in _KEY_READERS read more than their type. Each
+# reader raises ValueError naming the text it cannot read.
+_READERS = {int: _number(int), bool: _flag, str: str.strip,
+            str | None: str.strip, FadingModel: _fading}
+_KEY_READERS = {"P_s": _linear, "P_r": _linear,
+                "metric": lambda raw: raw.strip().lower()}
+_SECTIONS = (("hata_", HataParams), ("", ScenarioConfig), ("", McConfig),
+             ("", SolverConfig), ("", SweepOptions))
+
+
+def _key_table() -> dict:
+    """Config key -> (section class, field name, reader): each section's
+    fields under its prefix (SweepOptions.hata is a section of its own),
+    plus out and json for the manifest's output fields."""
+    fields = [(prefix + f.name, cls, f.name, f.type)
+              for prefix, cls in _SECTIONS for f in dataclasses.fields(cls)
+              if f.type is not HataParams]
+    fields += [(key, RunManifest, name, RunManifest.__annotations__[name])
+               for key, name in (("out", "output_path"), ("json", "emit_json"))]
+    return {key: (cls, name,
+                  _KEY_READERS.get(key) or _READERS.get(tp, _number(float)))
+            for key, cls, name, tp in fields}
+
+
+_KEYS = _key_table()
+
+
+def parse_config(text: str, overrides: dict | None = None) -> RunManifest:
     """Build a RunManifest from a line-oriented key=value document.
 
-    Unknown keys are rejected by name, malformed lines by line number, and
-    invariant violations by field. An empty document yields the full
-    default manifest. The command is not a config key: main takes it from
-    the command line.
+    overrides maps config keys to values already read (main's flags); they
+    replace the document's values before validation. Unknown keys are
+    rejected by name, malformed lines by line number, and invariant
+    violations by key, in section order: hata, scenario, mc, solver,
+    options. An empty document yields the full default manifest. The
+    command is not a config key: main takes it from the command line.
     """
-    values: dict[str, object] = {}
+    given = {cls: {} for cls, _, _ in _KEYS.values()}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -192,61 +215,32 @@ def parse_config(text: str) -> RunManifest:
                               f"line {line_no}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError("unknown-key", key,
                               f"line {line_no}: unknown key {key!r}")
-        if key in _FADING_KEYS:
-            values[key] = _parse_fading(key, raw, line_no)
-        else:
-            values[key] = _parse_scalar(key, raw, line_no)
+        cls, name, read = _KEYS[key]
+        try:
+            given[cls][name] = read(raw)
+        except ParameterError as exc:
+            raise ConfigError("validation", key, f"line {line_no}: {exc}")
+        except ValueError as exc:
+            raise ConfigError("parse", key, f"line {line_no}: {exc}")
+    for key, value in (overrides or {}).items():
+        cls, name, _ = _KEYS[key]
+        given[cls][name] = value
 
-    def take(name, default):
-        return values.get(name, default)
+    def build(cls, prefix="", **nested):
+        try:
+            return cls(**given[cls], **nested)
+        except ParameterError as exc:
+            raise ConfigError("validation", prefix + exc.field, str(exc))
 
-    metric = str(take("metric", "df")).lower()
-    if metric not in ("df", "cutset"):
-        raise ConfigError("validation", "metric",
-                          f"metric must be 'df' or 'cutset', got {metric!r}")
-
-    try:
-        hata = HataParams(A=take("hata_A", 120.0), B=take("hata_B", 35.22))
-    except ParameterError as exc:
-        raise ConfigError("validation", f"hata_{exc.field}", str(exc))
-    try:
-        scenario = ScenarioConfig(
-            P_s=take("P_s", 10.0), P_r=take("P_r", 10.0),
-            N_s=take("N_s", 2), N_r=take("N_r", 2),
-            M_r=take("M_r", 2), M_d=take("M_d", 2),
-            alpha=take("alpha", 3.52),
-            fading_sr=take("fading_sr", FadingModel.rayleigh()),
-            fading_sd=take("fading_sd", FadingModel.rayleigh()),
-            fading_rd=take("fading_rd", FadingModel.rayleigh()),
-            R_c=take("R_c", 5.5),
-        )
-        mc = McConfig(seed=take("seed", 42), samples=take("samples", 20000))
-        solver = SolverConfig(r_lo=take("r_lo", 0.05), r_hi=take("r_hi", 10.0),
-                              tol=take("tol", 1e-3),
-                              max_iter=take("max_iter", 60))
-        options = SweepOptions(
-            L=take("L", 4), angular_steps=take("angular_steps", 72),
-            d_y=take("d_y", 0.1),
-            sweep_start=take("sweep_start", None),
-            sweep_stop=take("sweep_stop", None),
-            sweep_points=take("sweep_points", 21),
-            backoff=take("backoff", 0.95), metric=metric,
-            relay_radius=take("relay_radius", None),
-            hata=hata,
-            exploit_symmetry=take("exploit_symmetry", True),
-        )
-    except ParameterError as exc:
-        # These configs name their fields exactly as the config keys.
-        raise ConfigError("validation", exc.field, str(exc))
-
-    return RunManifest(
-        scenario=scenario, mc=mc, solver=solver,
-        output_path=take("out", None), emit_json=bool(take("json", False)),
-        options=options,
-    )
+    hata = build(HataParams, "hata_")
+    scenario, mc, solver = (build(ScenarioConfig), build(McConfig),
+                            build(SolverConfig))
+    return RunManifest(scenario=scenario, mc=mc, solver=solver,
+                       options=build(SweepOptions, hata=hata),
+                       **given[RunManifest])
 
 
 def _fmt(x: float) -> str:
@@ -516,30 +510,27 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value config file ('#' comments)")
-    parser.add_argument("--out", type=Path, default=None,
+    # The flags are config keys given on the command line: they override
+    # the file's values and are checked the same way.
+    parser.add_argument("--out", default=argparse.SUPPRESS,
                         help="output CSV path (default <command>.csv)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
                         help="also write the dataset as JSON next to the CSV")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    command, config = flags.pop("command"), flags.pop("config")
 
     try:
-        text = args.config.read_text() if args.config else ""
-        manifest = parse_config(text)
-        manifest = dataclasses.replace(manifest, command=args.command)
-        if args.out is not None:
-            manifest = dataclasses.replace(manifest, output_path=str(args.out))
-        if args.json:
-            manifest = dataclasses.replace(manifest, emit_json=True)
-        if args.seed is not None or args.samples is not None:
-            mc = manifest.mc
-            mc = dataclasses.replace(
-                mc,
-                seed=args.seed if args.seed is not None else mc.seed,
-                samples=args.samples if args.samples is not None else mc.samples)
-            manifest = dataclasses.replace(manifest, mc=mc)
-        return run(manifest)
+        text = config.read_text() if config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        print(json.dumps({"error": "io", "field": "config",
+                          "message": str(exc)}), file=sys.stderr)
+        return 1
+    try:
+        manifest = parse_config(text, flags)
+        return run(dataclasses.replace(manifest, command=command))
     except ConfigError as exc:
         print(exc.as_json(), file=sys.stderr)
         return 2

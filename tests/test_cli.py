@@ -76,11 +76,32 @@ class TestParseConfig:
         assert m.scenario.fading_sr.k_factor == pytest.approx(10.0)
 
     def test_command_and_flags(self):
-        m = parse_config("json=true\nout=x.csv\nmetric=cutset\n")
+        m = parse_config("json=true\nout=x.csv\nmetric=CUTSET\n")
         assert m.command == "bounds"  # main sets it from the command line
         assert m.emit_json is True
         assert m.output_path == "x.csv"
         assert m.options.metric == "cutset"
+
+    # One bad key per section, in section order.
+    BAD = ["hata_B=-1", "P_s=-1", "samples=0", "tol=0", "metric=mean"]
+
+    @pytest.mark.parametrize("i", range(len(BAD)),
+                             ids=[bad.split("=")[0] for bad in BAD])
+    def test_first_bad_key_in_section_order_is_named(self, i):
+        # Written in reverse, so the key to be named comes last in the file.
+        with pytest.raises(ConfigError) as err:
+            parse_config("\n".join(reversed(self.BAD[i:])) + "\n")
+        assert err.value.code == "validation"
+        assert err.value.field == self.BAD[i].split("=")[0]
+
+    def test_overrides_replace_the_document_before_validation(self):
+        m = parse_config("samples=0\nseed=3\nout=a.csv\n",
+                         {"samples": 500, "out": "b.csv", "json": True})
+        assert (m.mc.samples, m.mc.seed) == (500, 3)
+        assert (m.output_path, m.emit_json) == ("b.csv", True)
+        with pytest.raises(ConfigError) as err:
+            parse_config("samples=500\n", {"samples": 0})
+        assert err.value.field == "samples"
 
     def test_bad_command(self):
         # The command is not a config key, so any value is rejected.
@@ -241,6 +262,36 @@ class TestMain:
         assert err["error"] == "validation"
         assert err["field"] == "alpha"
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_flag_exits_2_naming_the_key(self, tmp_path, capsys, samples):
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--samples", samples, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("validation", "samples")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_flag_beats_the_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=200\nsweep_points=2\n"
+                       f"out={tmp_path / 'file.csv'}\n")
+        out = tmp_path / "flag.csv"
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists() and not (tmp_path / "file.csv").exists()
+
+    @pytest.mark.parametrize("content", [None, b"P_s=\xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_config_names_config(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("io", "config")
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples=300\nsweep_points=4\n")
@@ -271,6 +322,7 @@ class TestRejectedKeyIsNamed:
     # key as written in the config, not the parameter's attribute name.
     @pytest.mark.parametrize("key,value", [
         ("P_s", "-1"), ("P_r", "0"), ("P_s", "1e300"), ("P_r", "1e300"),
+        ("P_s", "4000dB"), ("fading_sd", "rician:K=4000dB:los=well"),
         ("alpha", "nan"), ("R_c", "inf"),
         ("N_s", "0"), ("N_r", "0"), ("M_r", "0"), ("M_d", "0"),
         ("samples", "0"),

@@ -3,6 +3,9 @@ packing, on random channel stacks and scaled powers 0 <= a <= 50, and of
 the per-realization bound ordering and c3's monotonicity on random
 scenarios."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,22 +53,36 @@ def mac_weights(a, b):
     return np.array([a, b, a * a, b * b, a * b])
 
 
+def exact_logdet(terms):
+    """log2 det(I + sum_k a_k G_k) per sample from packed 2x2 Grams G_k,
+    the determinant taken exactly in rationals and rounded once."""
+    n = terms[0][1].shape[1]
+    out = np.empty(n)
+    for i in range(n):
+        g11, g22, re, im = (sum(Fraction(a) * Fraction(G[row, i])
+                                for a, G in terms) for row in range(4))
+        out[i] = math.log2((1 + g11) * (1 + g22) - re * re - im * im)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(channel_stacks(3), POWER, POWER, POWER)
-def test_quadratic_form_matches_cholesky(stacks, a, b, c):
+# Every entry 3+3j: the cooperative determinant is 8605 exactly. The
+# quadratic form gives log2(8605) correctly rounded; a Cholesky reference
+# was 1.1e-12 off it.
+@example([np.full((1, 2, cols), 3 + 3j) for cols in (1, 2, 3)],
+         13.0, 38.0, 50.0)
+def test_quadratic_form_matches_exact_determinant(stacks, a, b, c):
     P, Q, R = (matrixkit.gram_entries_2x2(H) for H in stacks)
-    G1, G2, G3 = (matrixkit.gram(H) for H in stacks)
     w = mac_weights(a, b)
     T = mac_rows(P, Q)
     np.testing.assert_allclose(
         matrixkit.logdet_quadratic_2x2((w, T)),
-        matrixkit.logdet_identity_plus_batch(a * G1 + b * G2),
-        rtol=0, atol=1e-12)
+        exact_logdet([(a, P), (b, Q)]), rtol=0, atol=1e-12)
     coop = matrixkit.logdet_quadratic_2x2(
         (w, T), (np.array([c, c * c, a * c, b * c]), ext_rows(P, Q, R)))
     np.testing.assert_allclose(
-        coop, matrixkit.logdet_identity_plus_batch(a * G1 + b * G2 + c * G3),
-        rtol=0, atol=1e-12)
+        coop, exact_logdet([(a, P), (b, Q), (c, R)]), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
