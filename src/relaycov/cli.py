@@ -359,7 +359,7 @@ def _run_optloc(manifest: RunManifest):
          float(radii.min())),
         ("r_lo", "P_s", manifest.solver.r_lo)])
     table = coverage.rate_vs_relay_radius(scn, mc, radii)
-    r_star = coverage.optimal_relay_radius(scn, mc, manifest.solver)
+    r_star = coverage.optimal_relay_radius(scn, mc, manifest.solver, table)
     print(f"r_star={_fmt(r_star)}")
     header = ["r_R", "rate"]
     rows = [[r, rate] for r, rate in table]
@@ -398,14 +398,17 @@ def _run_coverage(manifest: RunManifest):
     return header, rows, extras
 
 
-def _extension_report(manifest: RunManifest, r_R: float, noncoop) -> dict:
+def _extension_report(manifest: RunManifest, r_R: float, noncoop,
+                      coop) -> dict:
     """Fit the sum-rate law at the weakest boundary angle, measure the
-    cooperative rate gain there, and evaluate the Hata extension factor."""
+    cooperative rate gain there, and evaluate the Hata extension factor
+    next to the radius gain the two boundaries show at that angle."""
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    achieved = [(r, t) for (t, r) in noncoop.entries if r > 0.0]
+    achieved = [(r, t, r_coop) for (t, r), (_, r_coop)
+                in zip(noncoop.entries, coop.entries) if r > 0.0]
     if not achieved:
         return {}
-    r_null, theta_null = min(achieved)
+    r_null, theta_null, r_null_coop = min(achieved)
     geom = NetworkGeometry(relay_radius=r_R, relay_count=opt.L,
                            dest_radius=r_null, dest_angle=theta_null)
     r_D = geom.dest_radius
@@ -440,8 +443,14 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop) -> dict:
             "power_ratio": ratio,
             "extension_factor_literal": factors.literal,
             "coverage_gain": factors.coverage_gain,
+            "coverage_gain_db": factors.coverage_gain_db,
+            "measured_gain": r_null_coop / r_null,
             "hata_A": opt.hata.A,
             "hata_B": opt.hata.B,
+            # Otherwise the factors and the boundaries assume different
+            # path loss.
+            "hata_B_matches_alpha": math.isclose(opt.hata.B, 10.0 * scn.alpha,
+                                                 rel_tol=1e-12),
         }
     }
 
@@ -467,7 +476,7 @@ def _run_coop(manifest: RunManifest):
         gain = r_co / r_nc if r_nc > 0.0 else 0.0
         rows.append([math.degrees(theta), r_nc, r_co, gain])
     extras.update({"L": opt.L})
-    extras.update(_extension_report(manifest, r_R, noncoop))
+    extras.update(_extension_report(manifest, r_R, noncoop, coop))
     report = extras.get("extension_report")
     if report:
         print(f"coverage_gain={_fmt(report['coverage_gain'])} "

@@ -1,5 +1,5 @@
-"""Two-relay cooperative sum-rate estimators, their high/low-SNR closed
-forms, Hata propagation algebra, and the coverage-extension factor."""
+"""Two-relay cooperative sum-rate estimators, their high-SNR closed form,
+the sum-rate fit, and the Hata coverage-extension factor."""
 
 import math
 from dataclasses import dataclass
@@ -51,10 +51,13 @@ class HataParams:
 @dataclass(frozen=True)
 class ExtensionFactors:
     """Coverage-extension pair: the literal distance-ratio value and its
-    reciprocal coverage_gain (>= 1). The two are exact reciprocals."""
+    reciprocal coverage_gain (>= 1), exact reciprocals; and
+    coverage_gain_db, the distance ratio that a Hata slope in dB per
+    decade gives."""
 
     literal: float
     coverage_gain: float
+    coverage_gain_db: float
 
 
 def estimate_coop_sum_rate(scn: ScenarioConfig, r_D: float, r_DR1: float,
@@ -148,21 +151,6 @@ def coop_high_snr_sum_rate(N_r: int, M_d: int, rho: float) -> float:
     return r * math.log2(rho / N_r) + chi_log_sum
 
 
-def low_snr_sum_rate(M_d: int, rho_dr: float, linearized: bool = False) -> float:
-    """Low-SNR sum-rate at the coverage border (source signal ignored).
-
-    M_d * log2(1 + rho_dr); linearized=True returns the first-order form
-    M_d * rho_dr * log2(e).
-    """
-    if M_d < 1:
-        raise ValueError(f"M_d must be >= 1, got {M_d}")
-    if rho_dr <= 0:
-        raise ValueError(f"rho_dr must be > 0, got {rho_dr}")
-    if linearized:
-        return M_d * rho_dr * math.log2(math.e)
-    return M_d * math.log2(1.0 + rho_dr)
-
-
 def _fit_k1_for(k2: float, P: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
     # Closed-form least-squares slope for fixed K2 (regression through origin).
     x = np.log2(1.0 + k2 * P)
@@ -249,38 +237,31 @@ def _reciprocal_pair(value: float) -> tuple[float, float]:
     return value, 1.0 / value
 
 
-def hata_path_loss(p: HataParams, d: float) -> float:
-    """Propagation loss in dB at distance d: A + B log10(d)."""
-    return p.A + p.B * math.log10(d)
-
-
-def max_distance(p: HataParams, P_maxT: float, P_d: float) -> float:
-    """Largest distance at which received power P_d (dB) is reachable with
-    total transmit power P_maxT (dB): 10^((P_maxT - P_d - A) / B)."""
-    return 10.0 ** ((P_maxT - P_d - p.A) / p.B)
-
-
 def extension_factor(K2: float, P_d: float, gamma: float,
                      B: float) -> ExtensionFactors:
-    """Coverage-extension pair for sum-rate gain gamma under a Hata slope B.
+    """Coverage-extension factors for sum-rate gain gamma under a Hata slope B.
 
     literal = power_ratio^(1/B) (a distance ratio <= 1 for gamma > 1);
     coverage_gain is its reciprocal (>= 1), the factor by which the same
     sum-rate is reached farther out when two relays cooperate. Both are
-    returned; literal * coverage_gain == 1 by construction. Raises
-    ParameterError("B", ...) when a slope this small drives literal so
-    close to 0 that its reciprocal is not finite.
+    returned; literal * coverage_gain == 1 by construction. Hata's B is in
+    dB per decade, so a received-power ratio maps to a distance ratio
+    power_ratio^(10/B): coverage_gain_db = power_ratio^(-10/B) is that
+    gain, the literal exponent 1/B being short of it by a factor of 10.
+    Raises ParameterError("B", ...) when a slope this small makes
+    coverage_gain_db, the largest of the gains, overflow a float.
     """
     if B <= 0:
         raise ValueError(f"B must be > 0, got {B}")
-    pr = power_ratio(K2, P_d, gamma)
-    literal = float(pr) ** (1.0 / B)
-    if not (literal > 0.0 and math.isfinite(1.0 / literal)):
+    pr = float(power_ratio(K2, P_d, gamma))  # Python floats raise on overflow
+    try:
+        gain_db = pr ** (-10.0 / B)
+    except OverflowError:
         raise ParameterError(
-            "B", f"B={B} gives extension factor {literal!r}, whose "
-            f"reciprocal coverage gain is not finite")
-    literal, gain = _reciprocal_pair(literal)
-    return ExtensionFactors(literal=literal, coverage_gain=gain)
+            "B", f"B={B} gives a coverage gain too large for a float") from None
+    literal, gain = _reciprocal_pair(pr ** (1.0 / B))
+    return ExtensionFactors(literal=literal, coverage_gain=gain,
+                            coverage_gain_db=gain_db)
 
 
 def coop_coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,

@@ -15,6 +15,11 @@ from .channel import NetworkGeometry
 # as the same boundary point during a symmetric sweep.
 _FOLD_TOL = 1e-9
 
+# Evaluations a warm-started bisection may run ahead of the halvings they
+# have settled before it falls back to midpoints: two to land on both ends
+# of a predicted final bracket, one more for a secant from one side.
+_WARM_SLACK = 3
+
 
 class NoSolutionError(RuntimeError):
     """The rate target is unachievable even at the lower bracket."""
@@ -87,27 +92,112 @@ class CoverageRegion:
         return np.array([r for _, r in self.entries])
 
 
-def _meets(f: Callable[[float], float], x: float) -> bool:
-    """f(x) >= 0, raising FloatingPointError when f(x) is NaN."""
+def _value(f: Callable[[float], float], x: float) -> float:
+    """f(x), raising FloatingPointError when it is NaN."""
     value = f(x)
     if math.isnan(value):
         raise FloatingPointError(f"objective is NaN at r={x!r}")
-    return value >= 0.0
+    return value
+
+
+def _meets(f: Callable[[float], float], x: float) -> bool:
+    """f(x) >= 0, raising FloatingPointError when f(x) is NaN."""
+    return _value(f, x) >= 0.0
+
+
+def _final_cell(lo: float, hi: float, it: int, tol: float, max_iter: int,
+                x: float) -> tuple[float, float]:
+    """The bracket bisection ends in from (lo, hi) after it halvings when
+    the crossing lies at x: the halving path replayed, so its ends are the
+    very floats the search would probe."""
+    while hi - lo > tol and it < max_iter:
+        mid = 0.5 * (lo + hi)
+        if mid <= x:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    return lo, hi
+
+
+def _predict(guess: float, slope: float | None, goods: list, bads: list) -> float:
+    """Predicted crossing from the (x, f(x)) points evaluated so far, each
+    list ordered towards the crossing: a secant through the nearest point
+    on each side, else through the two nearest on one side, else a Newton
+    step from the one point with the given slope, else the guess. NaN when
+    the step is undefined."""
+    if goods and bads:
+        (x0, f0), (x1, f1) = goods[-1], bads[-1]
+    elif len(goods) > 1 or len(bads) > 1:
+        (x0, f0), (x1, f1) = (goods or bads)[-2:]
+    elif (goods or bads) and slope is not None and slope < 0.0:
+        (x1, f1), = goods or bads
+        return x1 - f1 / slope
+    else:
+        return guess
+    return x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
 
 
 def bisect_largest(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float, max_iter: int) -> float:
+                   tol: float, max_iter: int, guess: float | None = None,
+                   slope: float | None = None) -> float:
     """Largest x in [lo, hi] with f(x) >= 0 for a nonincreasing f.
 
-    Caller guarantees f(lo) >= 0 > f(hi). Terminates after at most
-    ceil(log2((hi - lo) / tol)) halvings (or max_iter, whichever is
-    smaller) and returns the satisfying end of the final bracket. A NaN
-    objective raises FloatingPointError.
+    Caller guarantees f(lo) >= 0 > f(hi). Halves the bracket until it is
+    no wider than tol or max_iter halvings are done, whichever comes
+    first, at most n = min(max_iter, ceil(log2((hi - lo) / tol))) halvings,
+    and returns the satisfying end of the final bracket. A NaN objective
+    raises FloatingPointError.
+
+    A halving whose midpoint lies at or below a point already found to
+    satisfy f >= 0, or at or above one found to fail it, takes that side
+    without evaluating f. With no guess every other midpoint is evaluated:
+    plain bisection, n evaluations. A guess of the crossing (and
+    optionally the slope of f near it) makes the search evaluate instead
+    the ends of the final bracket it predicts, found by replaying the
+    halving path so that they are floats the search itself would probe:
+    first an end on a side no evaluation has reached yet, then the end
+    nearer the prediction. The prediction starts at the guess and moves
+    by a secant or Newton step through the points evaluated so far. The
+    midpoint is evaluated instead when the prediction is undefined or
+    outside the known bracket, or when the evaluations so far number
+    three more than the halvings they settled (interpolation has
+    stalled). So a warm search evaluates at most n + 3 points, all inside
+    (lo, hi), and typically 1 to 3 near a good guess.
+
+    Whenever f changes sign once on [lo, hi], every halving takes the side
+    plain bisection would take, so the result is the same float with or
+    without a guess.
     """
-    it = 0
+    good, bad = lo, hi
+    goods: list[tuple[float, float]] = []  # evaluated points, f >= 0
+    bads: list[tuple[float, float]] = []   # evaluated points, f < 0
+    it = evaluated = 0
     while hi - lo > tol and it < max_iter:
         mid = 0.5 * (lo + hi)
-        if _meets(f, mid):
+        if good < mid < bad:  # the midpoint's sign is not implied yet
+            x = mid
+            if guess is not None and evaluated < it + _WARM_SLACK:
+                target = _predict(guess, slope, goods, bads)
+                if good <= target < bad:
+                    a, b = _final_cell(lo, hi, it, tol, max_iter, target)
+                    # An end not yet implied: on the side no evaluation
+                    # has reached yet, else the one nearer the prediction.
+                    if a <= good or (b < bad and (
+                            not bads or (goods and b - target < target - a))):
+                        x = b
+                    else:
+                        x = a
+            value = _value(f, x)
+            evaluated += 1
+            if value >= 0.0:
+                good = x
+                goods.append((x, value))
+            else:
+                bad = x
+                bads.append((x, value))
+            continue
+        if mid <= good:
             lo = mid
         else:
             hi = mid
@@ -115,13 +205,32 @@ def bisect_largest(f: Callable[[float], float], lo: float, hi: float,
     return lo
 
 
+def _crossing(points, target: float) -> tuple[float | None, float | None]:
+    """Where a nonincreasing curve, sampled as (r, value) points, crosses
+    target, and its slope there: the line through the tightest pair of
+    points on either side. (None, None) when no such pair brackets it."""
+    above = [p for p in points if p[1] >= target]
+    below = [p for p in points if p[1] < target]
+    if not (above and below):
+        return None, None
+    (r0, v0), (r1, v1) = max(above), min(below)
+    if not r0 < r1:
+        return None, None
+    slope = (v1 - v0) / (r1 - r0)
+    return r0 + (target - v0) / slope, slope
+
+
 def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
-                         solver: SolverConfig) -> float:
+                         solver: SolverConfig,
+                         table: list[tuple[float, float]] | None = None) -> float:
     """Largest relay radius at which the source-relay rate meets R_c.
 
     Bisection on the seed-deterministic, monotone-decreasing relay-link
     rate; every probe reuses the same seed (common random numbers), so the
-    result is within solver.tol of that seed's true crossing.
+    result is within solver.tol of that seed's true crossing. table, the
+    (r_R, rate) rows of rate_vs_relay_radius on the same scn and mc,
+    warm-starts the bisection at its interpolated crossing; the result is
+    the same.
 
     Raises NoSolutionError when even r_lo misses the target,
     BracketError when r_hi still meets it, and FloatingPointError when
@@ -134,7 +243,9 @@ def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
     if _meets(f, solver.r_hi):
         raise BracketError(
             f"rate {scn.R_c} still achievable at r_hi={solver.r_hi}; widen the bracket")
-    return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol, solver.max_iter)
+    guess, slope = _crossing(table or (), scn.R_c)
+    return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol,
+                          solver.max_iter, guess, slope)
 
 
 def rate_vs_relay_radius(scn: ScenarioConfig, mc: McConfig,
@@ -159,12 +270,14 @@ def _rate_objective(scn: ScenarioConfig, r_R: float, L: int, mc: McConfig,
 
 
 def solve_ray(rate: Callable[[float, float], float], theta_D: float,
-              rate_target: float, solver: SolverConfig) -> float:
+              rate_target: float, solver: SolverConfig,
+              guess: float | None = None, slope: float | None = None) -> float:
     """Largest destination radius along one ray meeting the rate target.
 
     Returns 0.0 when the target is unachievable even at r_lo; raises
     BracketError when r_hi still meets it and FloatingPointError when the
-    rate is NaN.
+    rate is NaN. guess and slope warm-start the bisection (see
+    bisect_largest); they change the probes, not the result.
     """
     f = lambda r: rate(theta_D, r) - rate_target
     if not _meets(f, solver.r_lo):
@@ -173,7 +286,22 @@ def solve_ray(rate: Callable[[float, float], float], theta_D: float,
         raise BracketError(
             f"rate {rate_target} still achievable at r_hi={solver.r_hi}; "
             f"widen the bracket")
-    return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol, solver.max_iter)
+    return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol,
+                          solver.max_iter, guess, slope)
+
+
+def _extrapolate(solved: list[tuple[float, float]], fold: float) -> float | None:
+    """Guess of the radius at fold from the rays solved so far: the line
+    through the reached rays of the two nearest distinct folds, the one
+    reached ray's radius, or None before any ray is reached."""
+    reached = sorted((abs(f - fold), f, r) for f, r in solved if r > 0.0)
+    if not reached:
+        return None
+    _, f1, r1 = reached[0]
+    for _, f0, r0 in reached[1:]:
+        if abs(f1 - f0) > _FOLD_TOL:
+            return r1 + (r1 - r0) * (fold - f1) / (f1 - f0)
+    return r1
 
 
 def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
@@ -184,7 +312,10 @@ def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
     With exploit_symmetry the sweep only solves angles with distinct folded
     off-relay angles (the rate depends on the angle only through that fold)
     and mirrors the rest; disabling it solves every angle directly, which
-    is useful for validating the L-fold symmetry.
+    is useful for validating the L-fold symmetry. Each ray after the first
+    reached one is warm-started from the radii solved so far and the
+    rate's slope at the last crossing, which saves probes but leaves every
+    radius as a cold solve_ray would return it.
     """
     if angular_steps < 4 * L:
         raise ValueError(
@@ -193,6 +324,7 @@ def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
     theta_cov = 2.0 * math.pi / L
     entries = []
     solved: list[tuple[float, float]] = []  # (folded angle, r_max)
+    slope = None
     for j in range(angular_steps):
         theta = 2.0 * math.pi * j / angular_steps
         x = math.fmod(theta, theta_cov)
@@ -204,7 +336,16 @@ def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
                     r_max = r_prev
                     break
         if r_max is None:
-            r_max = solve_ray(rate, theta, rate_target, solver)
+            probes: list[tuple[float, float]] = []
+
+            def recorded(theta_D: float, r_D: float) -> float:
+                value = rate(theta_D, r_D)
+                probes.append((r_D, value))
+                return value
+
+            r_max = solve_ray(recorded, theta, rate_target, solver,
+                              _extrapolate(solved, fold), slope)
+            slope = _crossing(probes, rate_target)[1] or slope
             solved.append((fold, r_max))
         entries.append((theta, r_max))
     return CoverageRegion(entries=tuple(entries), rate_target=rate_target,

@@ -240,6 +240,41 @@ class TestRunCoop:
             pytest.approx(1.0, abs=1e-15)
         assert rep["K1"] > 0 and rep["K2"] > 0
 
+    def test_extension_report_against_measured_gain(self, tmp_path):
+        # Defaults, seed 42: the CSV's gain at theta_null = 45 degrees is
+        # the measured gain. The dB-slope factor power_ratio^(-10/B) lies
+        # within 2 % of it; the literal power_ratio^(-1/B) does not.
+        out = tmp_path / "coop.csv"
+        assert run(replace(parse_config(""), command="coop",
+                           output_path=str(out))) == 0
+        rep = json.loads((tmp_path / "coop.meta.json").read_text())[
+            "extension_report"]
+        header, rows = read_csv(out)
+        at_null = next(row for row in rows if row[0] == rep["theta_null_deg"])
+        assert at_null[3] == pytest.approx(rep["measured_gain"], rel=1e-8)
+        assert rep["theta_null_deg"] == 45.0
+        assert rep["measured_gain"] == pytest.approx(1.21296051, rel=1e-8)
+        assert rep["coverage_gain_db"] == pytest.approx(1.22572808, rel=1e-8)
+        assert rep["coverage_gain_db"] == pytest.approx(
+            rep["power_ratio"] ** (-10.0 / rep["hata_B"]), rel=1e-15)
+        assert rep["coverage_gain"] == pytest.approx(1.02056205, rel=1e-8)
+        gap = abs(rep["coverage_gain_db"] / rep["measured_gain"] - 1.0)
+        literal_gap = abs(rep["coverage_gain"] / rep["measured_gain"] - 1.0)
+        assert gap < 0.02 < literal_gap
+        # The default hata_B = 35.22 is not 10 * alpha = 35.2.
+        assert rep["hata_B_matches_alpha"] is False
+
+    def test_hata_slope_matching_alpha_is_flagged(self, tmp_path):
+        out = tmp_path / "coop.csv"
+        manifest = replace(parse_config("samples=800\nangular_steps=16\n"
+                                        "relay_radius=0.95\nalpha=3\n"
+                                        "hata_B=30\n"),
+                           command="coop", output_path=str(out))
+        assert run(manifest) == 0
+        rep = json.loads((tmp_path / "coop.meta.json").read_text())[
+            "extension_report"]
+        assert rep["hata_B_matches_alpha"] is True
+
 
 class TestMain:
     def test_cli_round_trip(self, tmp_path, capsys):
@@ -382,6 +417,7 @@ class TestRejectedBeforeAnyFile:
         ("optloc", "sweep_start=0.5\nsweep_stop=-1\n", "sweep_stop"),
         ("bounds", "d_y=0\n", "d_y"),
         ("coop", "hata_B=1e-300\nsamples=2000\n", "hata_B"),
+        ("coop", "hata_B=0.005\nsamples=2000\n", "hata_B"),
         ("coverage", "relay_radius=1e-300\n", "relay_radius"),
         ("optloc", "sweep_start=1e-300\n", "sweep_start"),
         ("optloc", "P_s=1e300\n", "P_s"),
@@ -391,6 +427,7 @@ class TestRejectedBeforeAnyFile:
         ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi"),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
             "bounds-relay-on-a-node", "coop-extension-factor-underflow",
+            "coop-db-gain-overflows",
             "coverage-relay-radius-overflows", "optloc-start-overflows",
             "optloc-power-overflows", "coverage-backoff-overflows",
             "optloc-bracket-too-narrow", "coverage-radius-bracket-too-narrow",

@@ -25,10 +25,7 @@ from relaycov.cooperation import (
     estimate_coop_sum_rate,
     extension_factor,
     fit_k1_k2,
-    hata_path_loss,
     jensen_sum_rate_bound,
-    low_snr_sum_rate,
-    max_distance,
     power_ratio,
     two_relay_distances,
 )
@@ -142,23 +139,13 @@ class TestCoopHighSnr:
 
 
 class TestLowSnr:
-    def test_reference_value(self):
-        assert low_snr_sum_rate(2, 0.01) == pytest.approx(0.028710585954140107,
-                                                          abs=1e-15)
-
-    def test_linearized_limit(self):
-        for rho in (1e-3, 1e-5, 1e-8):
-            ratio = low_snr_sum_rate(2, rho) / low_snr_sum_rate(2, rho,
-                                                                linearized=True)
-            assert ratio == pytest.approx(1.0, abs=2 * rho)
-
     def test_matches_mc_at_low_snr(self):
         # Border destination: source term negligible, relay-only MAC rate
-        # within 5% of M_d * rho_dr * log2 e.
+        # within 5% of the first-order model M_d * rho_dr * log2 e.
         rho_dr = 1e-3
         scn = ScenarioConfig(P_s=1e-30, P_r=rho_dr)
         est = estimate_c2(scn, 1.0, 1.0, McConfig(samples=100_000))
-        assert est.mean / low_snr_sum_rate(2, rho_dr, linearized=True) == \
+        assert est.mean / (scn.M_d * rho_dr * math.log2(math.e)) == \
             pytest.approx(1.0, abs=0.05)
 
 
@@ -220,19 +207,6 @@ class TestPowerRatio:
 
 
 class TestHata:
-    def test_unit_distance(self):
-        assert hata_path_loss(HataParams(), 1.0) == 120.0
-
-    def test_max_distance(self):
-        assert max_distance(HataParams(), 155.0, 0.0) == pytest.approx(
-            9.857199563194234, abs=1e-9)
-
-    def test_round_trip(self):
-        p = HataParams()
-        for P_d in (-10.0, 0.0, 7.5):
-            d = max_distance(p, 155.0, P_d)
-            assert hata_path_loss(p, d) + P_d == pytest.approx(155.0, abs=1e-9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HataParams(B=0.0)
@@ -247,6 +221,9 @@ class TestExtensionFactor:
         ef = extension_factor(10.0, 1.0, 2.0, 35.22)
         assert ef.literal == pytest.approx(0.93187755517151, abs=1e-9)
         assert ef.coverage_gain == pytest.approx(1.073102356044998, abs=1e-9)
+        # A slope in dB per decade: the distance ratio is 12^(10/B).
+        assert ef.coverage_gain_db == pytest.approx(12.0 ** (10.0 / 35.22),
+                                                    rel=1e-15)
 
     def test_exact_reciprocal_pair(self):
         rng = make_rng(53)
@@ -264,10 +241,12 @@ class TestExtensionFactor:
 
     def test_unrepresentable_gain_names_b(self):
         # gamma > 1 makes the power ratio < 1; a tiny slope sends its
-        # 1/B-th power to 0, whose reciprocal is not finite.
-        with pytest.raises(ParameterError) as err:
-            extension_factor(10.0, 1.0, 2.0, 1e-300)
-        assert err.value.field == "B"
+        # 1/B-th power to 0, whose reciprocal is not finite. At B = 0.005
+        # the literal pair is finite but the dB gain 12^2000 is not.
+        for B in (1e-300, 0.005):
+            with pytest.raises(ParameterError) as err:
+                extension_factor(10.0, 1.0, 2.0, B)
+            assert err.value.field == "B"
 
 
 class TestTwoRelayDistances:

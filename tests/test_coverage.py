@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from relaycov import capacity, cli, coverage
 from relaycov.capacity import McConfig, ScenarioConfig
-from relaycov.channel import FadingModel, LosPrototype
+from relaycov.channel import FadingModel, LosPrototype, NetworkGeometry
+from relaycov.cooperation import coop_coverage_boundary, coop_df_rate
 from relaycov.coverage import (
     BracketError,
     CoverageRegion,
@@ -14,6 +18,7 @@ from relaycov.coverage import (
     coverage_boundary,
     optimal_relay_radius,
     rate_vs_relay_radius,
+    solve_ray,
 )
 
 PURE_LOS_K = 1e9
@@ -45,6 +50,106 @@ class TestBisect:
             SolverConfig(r_lo=2.0, r_hi=1.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+
+
+def plain_bisect(f, lo, hi, tol, max_iter):
+    """Reference: bisection evaluating every midpoint."""
+    it = 0
+    while hi - lo > tol and it < max_iter:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    return lo
+
+
+def halving_point(lo, hi, sides):
+    """The midpoint reached after taking the given sides (True: upper)."""
+    for upper in sides:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if upper else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+SHAPES = {
+    "linear": lambda root: lambda x: root - x,
+    "log": lambda root: lambda x: math.log(root / x),
+    # Flat where a rate cap binds, like min(c3, c2) along a ray.
+    "capped": lambda root: lambda x: min(0.25, 3.0 * (root - x)),
+}
+
+
+@st.composite
+def crossings(draw):
+    """(f, lo, hi, tol, max_iter, root) with f changing sign once on
+    [lo, hi], at root, and f(lo) >= 0 > f(hi)."""
+    lo = draw(st.floats(1e-3, 50.0))
+    hi = lo + draw(st.floats(1e-3, 50.0))
+    tol = (hi - lo) * draw(st.floats(1e-7, 0.6))
+    max_iter = draw(st.integers(1, 60))
+    where = draw(st.sampled_from(["inside", "dyadic", "near_lo", "near_hi"]))
+    if where == "inside":
+        root = lo + (hi - lo) * draw(st.floats(0.0, 0.999))
+    elif where == "dyadic":
+        root = halving_point(lo, hi, draw(st.lists(st.booleans(), max_size=30)))
+    elif where == "near_lo":
+        root = lo + tol * draw(st.floats(0.0, 1.0))
+    else:
+        root = hi - tol * draw(st.floats(1e-3, 1.0))
+    assume(lo <= root < hi)
+    f = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](root)
+    assume(f(lo) >= 0.0 > f(hi))
+    return f, lo, hi, tol, max_iter, root
+
+
+@settings(max_examples=400, deadline=None)
+@given(crossings(), st.data())
+def test_warm_start_returns_the_plain_result(case, data):
+    f, lo, hi, tol, max_iter, root = case
+    guess = data.draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(lo, hi), st.sampled_from([lo, hi]),
+        st.floats(-0.01, 0.01).map(lambda e: root + e * (hi - lo))), "guess")
+    slope = data.draw(st.one_of(
+        st.none(), st.floats(allow_nan=False, allow_infinity=False)), "slope")
+    plain, warm = [], []
+
+    def recorded(points):
+        def probe(x):
+            points.append(x)
+            return f(x)
+        return probe
+
+    cold = bisect_largest(f, lo, hi, tol, max_iter)
+    assert cold == plain_bisect(recorded(plain), lo, hi, tol, max_iter)
+    assert bisect_largest(recorded(warm), lo, hi, tol, max_iter,
+                          guess, slope) == cold
+    assert all(lo <= x <= hi for x in warm)
+    assert len(warm) <= len(plain) + 3  # the docstring's worst case
+
+
+class TestWarmStart:
+    def test_exact_guess_costs_two_evaluations(self):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return 2.0 - r
+
+        cold = bisect_largest(f, 0.05, 10.0, 1e-3, 60)
+        calls.clear()
+        assert bisect_largest(f, 0.05, 10.0, 1e-3, 60, guess=2.0,
+                              slope=-1.0) == cold
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("nan_from", [0.0, 1.9])
+    def test_nan_on_the_warm_path_raises(self, nan_from):
+        # NaN everywhere, or only around the guessed crossing.
+        f = lambda r: 2.0 - r if r < nan_from else math.nan
+        with pytest.raises(FloatingPointError):
+            bisect_largest(f, 0.05, 10.0, 1e-3, 60, guess=1.95, slope=-1.0)
 
 
 class TestOptimalRelayRadius:
@@ -191,3 +296,78 @@ class TestCoverageBoundary:
         with pytest.raises(ValueError):
             CoverageRegion(entries=((0.0, -1.0),), rate_target=5.5,
                            metric="df")
+
+
+def coop_rate(scn, r_R, L, mc):
+    def rate(theta_D, r_D):
+        geom = NetworkGeometry(relay_radius=r_R, relay_count=L,
+                               dest_radius=r_D, dest_angle=theta_D)
+        return coop_df_rate(scn, geom, mc).mean
+    return rate
+
+
+class TestWarmSweeps:
+    SCN, MC, SOLVER = ScenarioConfig(), McConfig(samples=2000), SolverConfig()
+
+    @pytest.mark.parametrize("exploit_symmetry", [True, False])
+    @pytest.mark.parametrize("sweep", ["df", "cutset", "coop"])
+    def test_every_ray_matches_a_cold_solve(self, sweep, exploit_symmetry):
+        scn, mc, solver = self.SCN, self.MC, self.SOLVER
+        if sweep == "coop":
+            region = coop_coverage_boundary(scn, 0.95, 4, 24, mc, solver,
+                                            exploit_symmetry=exploit_symmetry)
+            rate = coop_rate(scn, 0.95, 4, mc)
+        else:
+            region = coverage_boundary(scn, 0.95, 4, 24, mc, solver,
+                                       metric=sweep,
+                                       exploit_symmetry=exploit_symmetry)
+            rate = coverage._rate_objective(scn, 0.95, 4, mc, sweep)
+        cold = [solve_ray(rate, theta, scn.R_c, solver)
+                for theta in region.thetas]
+        assert cold == list(region.radii)
+
+    def test_default_coop_run_probe_cost(self, monkeypatch, tmp_path):
+        # relaycov coop at defaults: the first ray of each sweep is solved
+        # cold (2 + 14 probes); every later ray is warm-started and costs
+        # at most 2 + 5.
+        rays = []
+
+        def counted(rate, theta_D, rate_target, solver, guess=None, slope=None):
+            calls = []
+
+            def probe(theta, r):
+                calls.append(r)
+                return rate(theta, r)
+
+            r_max = solve_ray(probe, theta_D, rate_target, solver, guess, slope)
+            rays.append((guess is None, len(calls)))
+            return r_max
+
+        monkeypatch.setattr(coverage, "solve_ray", counted)
+        assert cli.run(cli.RunManifest(
+            command="coop", output_path=str(tmp_path / "coop.csv"))) == 0
+        assert [cold for cold, _ in rays].count(True) == 2
+        assert all(probes == 16 for cold, probes in rays if cold)
+        warm = [probes for cold, probes in rays if not cold]
+        assert len(warm) == 18
+        assert max(warm) <= 2 + 5
+
+
+class TestRelayRadiusWarmStart:
+    def test_table_guess_same_radius_fewer_probes(self, monkeypatch):
+        scn, mc, solver = ScenarioConfig(), McConfig(samples=4000), SolverConfig()
+        table = rate_vs_relay_radius(scn, mc, np.linspace(0.25, 2.5, 21))
+        calls = []
+        estimate_c3 = capacity.estimate_c3
+
+        def counted(*args):
+            calls.append(args[1])
+            return estimate_c3(*args)
+
+        monkeypatch.setattr(capacity, "estimate_c3", counted)
+        cold = optimal_relay_radius(scn, mc, solver)
+        cold_probes = len(calls)
+        calls.clear()
+        assert optimal_relay_radius(scn, mc, solver, table) == cold
+        assert cold_probes == 2 + 14
+        assert len(calls) <= 2 + 4
