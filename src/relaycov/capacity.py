@@ -163,17 +163,16 @@ class ChannelBank:
     sr, sd, rd, rd2 in turn and realizations do not depend on which bound
     was asked for first. The bank keeps only per-sample Gram matrices, on
     the sides listed in _GRAM_SIDES (their packed entries when that side
-    has two antennas, with the quadratic-form coefficient rows built from
-    them on first use), the eigenvalues of the source-side sr Gram when it
-    is not 2x2, the last c3 array it computed, and one scratch row.
+    has two antennas), the statistics its log-dets build from them on
+    first use (quadratic-form coefficient rows, or one Gram's
+    eigenvalues), the last c3 array it computed, and one scratch row.
 
-    Each cut takes the scaled powers a = (P/N) d^-alpha of its links. c1
-    and c3 are the source's cuts on transmit-side Grams: by Sylvester's
-    identity the broadcast cut is det(I + a_sd G_sd + a_sr G_sr). c2 and
-    coop are the destination's on receive-side Grams. With two antennas on
-    that side each cut is a quadratic form in the scaled powers; other
-    sizes factor the weighted Gram sum by Cholesky (c3: eigenvalues).
-    Every array returned is fresh except c3, the read-only memo.
+    Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
+    is one call of _logdet. c1 and c3 are the source's cuts on
+    transmit-side Grams: by Sylvester's identity the broadcast cut is
+    det(I + a_sr G_sr + a_sd G_sd). c2 and coop are the destination's on
+    receive-side Grams. Every array returned is fresh except c3, the
+    read-only memo.
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
@@ -185,8 +184,7 @@ class ChannelBank:
             key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
         self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
         self._grams: dict[tuple[str, str], np.ndarray] = {}
-        self._rows: dict[str, np.ndarray] = {}
-        self._eig: np.ndarray | None = None
+        self._stats: dict[tuple, np.ndarray] = {}
         self._c3: tuple[float, np.ndarray] | None = None
         self._scratch: np.ndarray | None = None
 
@@ -194,9 +192,9 @@ class ChannelBank:
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
-            # Unit distance: path loss is applied per probe, whatever alpha is.
+            # Unit distance: path loss is applied per probe.
             H = channel.sample_link_batch(self._models[name], self.mc.samples,
-                                          rows, cols, 1.0, 1.0, self._rng)
+                                          rows, cols, self._rng)
             for side in _GRAM_SIDES[name]:
                 # The Gram of H^T is conj(H^dagger H); traces, determinants
                 # and log-dets do not change when every Gram is conjugated.
@@ -213,113 +211,98 @@ class ChannelBank:
         self._draw_through(link)
         return self._grams[link, side]
 
-    def quadratic_rows(self, term: str) -> np.ndarray:
-        """Coefficient rows T (k, n) of a 2x2 log-det's quadratic form.
+    def _stat(self, side: str, names: tuple[str, ...],
+              added: str | None = None) -> np.ndarray:
+        """What a log-det over the links names (then added) on one side
+        reads, built on first use: with two antennas on that side the
+        quadratic form's coefficient rows (k, n), else one link's Gram
+        eigenvalues, clamped at 0.
 
-        "sr": [tr, det] of the sr transmit-side Gram, for monomials
-        [a, a^2].
-        "c1": the terms sd adds on the transmit side, [tr sd, det sd,
-        <sd, sr>], for [a_sd, a_sd^2, a_sd a_sr].
-        "mac": [tr sd, tr rd, det sd, det rd, <sd, rd>] on the receive
-        side, for [a_sd, a_rd, a_sd^2, a_rd^2, a_sd a_rd].
-        "rd2": the terms rd2 adds, [tr rd2, det rd2, <sd, rd2>, <rd, rd2>],
-        for [a_rd2, a_rd2^2, a_sd a_rd2, a_rd a_rd2].
+        Base rows are the traces, then the determinants, then each pair's
+        mixed discriminant, for the monomials a_i, a_i^2, a_i a_j (i < j).
+        An added link x brings its trace, its determinant and its mixed
+        discriminant with each base link, for x, x^2, a_i x.
         """
-        if term in self._rows:
-            return self._rows[term]
-        det, mixed = matrixkit.det_2x2, matrixkit.mixed_discriminant_2x2
-        if term == "sr":
-            sr = self.gram("sr", "tx")
-            rows = [sr[0] + sr[1], det(sr)]
-        elif term == "c1":
-            sr, sd = self.gram("sr", "tx"), self.gram("sd", "tx")
-            rows = [sd[0] + sd[1], det(sd), mixed(sd, sr)]
-        elif term == "mac":
-            sd, rd = self.gram("sd", "rx"), self.gram("rd", "rx")
-            rows = [sd[0] + sd[1], rd[0] + rd[1], det(sd), det(rd), mixed(sd, rd)]
-        else:
-            sd, rd = self.gram("sd", "rx"), self.gram("rd", "rx")
-            rd2 = self.gram("rd2", "rx")
-            rows = [rd2[0] + rd2[1], det(rd2), mixed(sd, rd2), mixed(rd, rd2)]
-        self._rows[term] = np.stack(rows)
-        return self._rows[term]
+        key = (side, names, added)
+        if key not in self._stats:
+            P = [self.gram(name, side) for name in names]
+            det, mixed = matrixkit.det_2x2, matrixkit.mixed_discriminant_2x2
+            if P[0].ndim != 2:
+                stat = np.maximum(np.linalg.eigvalsh(P[0]), 0.0)
+            elif added is None:
+                stat = np.stack([p[0] + p[1] for p in P] + [det(p) for p in P]
+                                + [mixed(p, q) for i, p in enumerate(P)
+                                   for q in P[i + 1:]])
+            else:
+                X = self.gram(added, side)
+                stat = np.stack([X[0] + X[1], det(X)] + [mixed(p, X) for p in P])
+            self._stats[key] = stat
+        return self._stats[key]
 
-    def _scratch_row(self) -> np.ndarray:
-        """A per-sample row that the next caller overwrites. Callers fetch
-        it after their coefficient rows, so a link those rows draw is never
-        drawn while the probe holds its determinant."""
-        if self._scratch is None:
-            # Allocated on first use: most banks never need it.
-            self._scratch = np.empty(self.mc.samples)
-        return self._scratch
+    def _logdet(self, side: str, names: tuple[str, ...], a: list[float],
+                added: tuple[str, float] | None = None) -> np.ndarray:
+        """Per-sample log2 det(I + sum_k a_k G_k) over the links names with
+        powers a, then the (link, power) pair added, on one side; every cut
+        is one call.
+
+        With two antennas on that side the determinant is a quadratic form
+        in the powers, one dot for names and one more for added (through the
+        scratch row), so a cut with an added link extends the determinant of
+        the cut without it bit for bit. One link at another size reads its Gram's
+        eigenvalues, so the rate never rises as a_k falls; anything else is
+        Cholesky of the weighted Gram sum, summed in link order.
+        """
+        if self.gram(names[0], side).ndim == 2:
+            terms = [(np.array(a + [x * x for x in a] + [
+                x * y for i, x in enumerate(a) for y in a[i + 1:]]),
+                self._stat(side, names))]
+            if added is not None:
+                name, x = added
+                terms.append((np.array([x, x * x] + [y * x for y in a]),
+                              self._stat(side, names, name)))
+                if self._scratch is None:
+                    # Allocated on first use, after the coefficient rows, so
+                    # a link they draw is never drawn while the probe holds
+                    # its determinant; most banks never need it.
+                    self._scratch = np.empty(self.mc.samples)
+            return matrixkit.logdet_quadratic_2x2(*terms, scratch=self._scratch)
+        if added is None and len(names) == 1:
+            return matrixkit.logdet_identity_plus_eig(
+                self._stat(side, names), a[0])
+        links = [*zip(names, a)] + ([] if added is None else [added])
+        M = a[0] * self.gram(names[0], side)
+        for name, power in links[1:]:
+            M += power * self.gram(name, side)
+        return matrixkit.logdet_identity_plus_batch(M)
 
     def c3(self, a_sr: float) -> np.ndarray:
         """Per-sample relay-link rate log2 det(I + a_sr G_sr), read-only.
 
         The last (a_sr, c3) pair is kept: a coverage sweep holds the relay
-        radius fixed, so its probes all share one c3 array. Other than two
-        source antennas, c3 reads the Gram's eigenvalues, computed once per
-        bank, so it never rises with the relay radius.
+        radius fixed, so its probes all share one c3 array.
         """
         if self._c3 is None or self._c3[0] != a_sr:
-            G = self.gram("sr", "tx")
-            if G.ndim == 2:
-                c3 = matrixkit.logdet_quadratic_2x2(
-                    (np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr")))
-            else:
-                if self._eig is None:
-                    self._eig = np.maximum(np.linalg.eigvalsh(G), 0.0)
-                c3 = matrixkit.logdet_identity_plus_eig(self._eig, a_sr)
+            c3 = self._logdet("tx", ("sr",), [a_sr])
             c3.flags.writeable = False
             self._c3 = (a_sr, c3)
         return self._c3[1]
 
     def c1(self, a_sr: float, a_sd: float) -> np.ndarray:
         """Per-sample broadcast-cut rate log2 det(I + a_sr G_sr + a_sd G_sd)
-        on transmit-side Grams.
-
-        At two transmit antennas sd's terms are added to c3's determinant,
-        so c1 >= c3 holds bit for bit.
-        """
-        G = self.gram("sr", "tx")
-        if G.ndim == 2:
-            return matrixkit.logdet_quadratic_2x2(
-                (np.array([a_sr, a_sr * a_sr]), self.quadratic_rows("sr")),
-                (np.array([a_sd, a_sd * a_sd, a_sd * a_sr]),
-                 self.quadratic_rows("c1")),
-                scratch=self._scratch_row())
-        return matrixkit.logdet_identity_plus_batch(
-            a_sr * G + a_sd * self.gram("sd", "tx"))
+        on transmit-side Grams. sd is added to c3's links, so c1 >= c3 holds
+        bit for bit at two transmit antennas."""
+        return self._logdet("tx", ("sr",), [a_sr], ("sd", a_sd))
 
     def c2(self, a_sd: float, a_rd: float) -> np.ndarray:
         """Per-sample multiple-access rate log2 det(I + a_sd G_sd + a_rd G_rd)
         on receive-side Grams."""
-        G = self.gram("sd", "rx")
-        if G.ndim == 2:
-            return matrixkit.logdet_quadratic_2x2(
-                (np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd]),
-                 self.quadratic_rows("mac")))
-        return matrixkit.logdet_identity_plus_batch(
-            a_sd * G + a_rd * self.gram("rd", "rx"))
+        return self._logdet("rx", ("sd", "rd"), [a_sd, a_rd])
 
     def coop(self, a_sd: float, a_rd: float, a_rd2: float) -> np.ndarray:
         """Per-sample cooperative sum-rate log2 det(I + a_sd G_sd +
-        a_rd G_rd + a_rd2 G_rd2) on receive-side Grams.
-
-        The second relay's terms come last on both routes, so a_rd2 = 0
-        reproduces c2 bit for bit.
-        """
-        G = self.gram("sd", "rx")
-        if G.ndim == 2:
-            return matrixkit.logdet_quadratic_2x2(
-                (np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd]),
-                 self.quadratic_rows("mac")),
-                (np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2, a_rd * a_rd2]),
-                 self.quadratic_rows("rd2")),
-                scratch=self._scratch_row())
-        return matrixkit.logdet_identity_plus_batch(
-            a_sd * G + a_rd * self.gram("rd", "rx")
-            + a_rd2 * self.gram("rd2", "rx"))
+        a_rd G_rd + a_rd2 G_rd2) on receive-side Grams. rd2 is added to c2's
+        links, so a_rd2 = 0 reproduces c2 bit for bit on every route."""
+        return self._logdet("rx", ("sd", "rd"), [a_sd, a_rd], ("rd2", a_rd2))
 
 
 def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
@@ -361,15 +344,6 @@ def _scaled_power(scn: ScenarioConfig, power: str, name: str,
     return getattr(scn, power) / antennas * d ** (-scn.alpha)
 
 
-def _node_powers(scn: ScenarioConfig, r_R: float, r_D: float,
-                 r_DR: float) -> tuple[float, float, float]:
-    """(a_sr, a_sd, a_rd): scaled powers at the relay radius r_R, the
-    destination radius r_D and the relay-destination distance r_DR."""
-    return (_scaled_power(scn, "P_s", "r_R", r_R),
-            _scaled_power(scn, "P_s", "r_D", r_D),
-            _scaled_power(scn, "P_r", "r_DR", r_DR))
-
-
 def estimate_c3(scn: ScenarioConfig, r_R: float, mc: McConfig) -> BoundEstimate:
     """Ergodic rate of the source-relay link at relay radius r_R:
     E log2 det(I + (P_s/N_s) r_R^-a H H+)."""
@@ -389,19 +363,6 @@ def estimate_c2(scn: ScenarioConfig, r_D: float, r_DR: float,
     return summarize_samples(_bank_for(scn, mc).c2(a_sd, a_rd))
 
 
-def estimate_c1(scn: ScenarioConfig, r_D: float, r_R: float,
-                mc: McConfig) -> BoundEstimate:
-    """Ergodic broadcast-cut rate: destination and relay rows stacked.
-
-    Mean of log2 det(I_M + (P_s/N_s) H_bc H_bc†) with M = M_r + M_d and
-    H_bc stacking the path-loss-scaled source-destination and source-relay
-    links.
-    """
-    a_sr = _scaled_power(scn, "P_s", "r_R", r_R)
-    a_sd = _scaled_power(scn, "P_s", "r_D", r_D)
-    return summarize_samples(_bank_for(scn, mc).c1(a_sr, a_sd))
-
-
 def sample_bound_realizations(scn: ScenarioConfig, r_R: float, r_D: float,
                               r_DR: float, mc: McConfig) -> BoundSamples:
     """Per-realization c1, c2 and c3 on common draws.
@@ -409,23 +370,49 @@ def sample_bound_realizations(scn: ScenarioConfig, r_R: float, r_D: float,
     All bounds for one scenario share the per-sample channel realizations,
     so orderings like c1 >= c3 hold pointwise.
     """
-    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
+    a_sr = _scaled_power(scn, "P_s", "r_R", r_R)
+    a_sd = _scaled_power(scn, "P_s", "r_D", r_D)
+    a_rd = _scaled_power(scn, "P_r", "r_DR", r_DR)
     bank = _bank_for(scn, mc)
     return BoundSamples(c1=bank.c1(a_sr, a_sd), c3=bank.c3(a_sr),
                         c2=bank.c2(a_sd, a_rd))
 
 
-def resolve_distances(geom: NetworkGeometry) -> tuple[float, float, float]:
-    """(r_R, r_D, r_DR) for the serving relay of the destination's sector.
+def _relay_distances(geom: NetworkGeometry, relays: int) -> list[float]:
+    """Distances from the destination to its serving relay, at off-axis
+    angle phi in [0, pi/L], and with relays=2 to the adjacent relay on the
+    far side of the destination, at 2*pi/L - phi.
 
-    r_DR is floored at MIN_LINK_DISTANCE so a destination collocated with
-    its relay keeps the estimators finite (the multiple-access term then
+    Each is floored at MIN_LINK_DISTANCE so a destination collocated with
+    a relay keeps the estimators finite (the multiple-access term then
     dominates and the decode-and-forward minimum falls to the relay link).
     """
+    if geom.relay_count < relays:
+        raise ValueError("cooperation needs at least two relays")
     _, phi = channel.sector_of(geom)
-    r_DR = channel.relay_dest_distance(geom.dest_radius, geom.relay_radius, phi)
-    return (geom.relay_radius, geom.dest_radius,
-            max(r_DR, channel.MIN_LINK_DISTANCE))
+    return [max(channel.relay_dest_distance(geom.dest_radius,
+                                            geom.relay_radius, angle),
+                channel.MIN_LINK_DISTANCE)
+            for angle in (phi, geom.coverage_angle - phi)[:relays]]
+
+
+def _probe(scn: ScenarioConfig, geom: NetworkGeometry, mc: McConfig,
+           relays: int = 1) -> tuple[ChannelBank, list[float]]:
+    """The live bank and a geometry's scaled powers [a_sr, a_sd, a_rd],
+    then a_rd2 for the second serving relay when relays=2. Distances are
+    checked in the order r_R, r_D, r_DR, r_DR2."""
+    r_DRs = _relay_distances(geom, relays)
+    powers = [_scaled_power(scn, "P_s", "r_R", geom.relay_radius),
+              _scaled_power(scn, "P_s", "r_D", geom.dest_radius)]
+    powers += [_scaled_power(scn, "P_r", name, d)
+               for name, d in zip(("r_DR", "r_DR2"), r_DRs)]
+    return _bank_for(scn, mc), powers
+
+
+def resolve_distances(geom: NetworkGeometry) -> tuple[float, float, float]:
+    """(r_R, r_D, r_DR) for the serving relay of the destination's sector,
+    r_DR floored as the estimators floor it."""
+    return (geom.relay_radius, geom.dest_radius, *_relay_distances(geom, 1))
 
 
 def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
@@ -435,9 +422,7 @@ def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
     The minimum is taken per realization before averaging (common draws),
     in place on the fresh c2 array: c3 is the bank's read-only memo.
     """
-    r_R, r_D, r_DR = resolve_distances(geom)
-    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
-    bank = _bank_for(scn, mc)
+    bank, (a_sr, a_sd, a_rd) = _probe(scn, geom, mc)
     c3 = bank.c3(a_sr)
     c2 = bank.c2(a_sd, a_rd)
     return summarize_samples(np.minimum(c3, c2, out=c2))
@@ -446,9 +431,7 @@ def df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
 def cutset_bound(scn: ScenarioConfig, geom: NetworkGeometry,
                  mc: McConfig) -> BoundEstimate:
     """Cut-set upper bound min(c1, c2) for the geometry (common draws)."""
-    r_R, r_D, r_DR = resolve_distances(geom)
-    a_sr, a_sd, a_rd = _node_powers(scn, r_R, r_D, r_DR)
-    bank = _bank_for(scn, mc)
+    bank, (a_sr, a_sd, a_rd) = _probe(scn, geom, mc)
     c1 = bank.c1(a_sr, a_sd)
     c2 = bank.c2(a_sd, a_rd)
     return summarize_samples(np.minimum(c1, c2, out=c2))

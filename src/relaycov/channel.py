@@ -1,5 +1,6 @@
-"""Per-link channel construction: LOS prototypes, Rician/Rayleigh fading,
-amplitude path loss, and the polar multi-relay geometry."""
+"""Per-link channel construction: LOS prototypes, Rician/Rayleigh fading
+at unit distance, and the polar multi-relay geometry. Path loss is not
+drawn: the estimators scale each link's Gram by its power per probe."""
 
 import functools
 import math
@@ -125,19 +126,15 @@ def resolve_los(proto: LosPrototype, rows: int, cols: int) -> np.ndarray:
 
 
 def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
-                      distance: float, alpha: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw n channel matrices for one link, shape (n, rows, cols).
+    """Draw n unit-distance channel matrices for one link, shape
+    (n, rows, cols).
 
-    Each draw is d^(-alpha/2) * (sqrt(K/(K+1)) H_los + sqrt(1/(K+1)) H_nlos)
-    with H_nlos fresh i.i.d. CN(0, 1); Rayleigh (K = 0) keeps only the
-    scattered term. The generator stream is consumed identically for every
-    fading model, so different models stay draw-aligned under a common seed.
+    Each draw is sqrt(K/(K+1)) H_los + sqrt(1/(K+1)) H_nlos with H_nlos
+    fresh i.i.d. CN(0, 1); Rayleigh (K = 0) keeps only the scattered term.
+    The generator stream is consumed identically for every fading model,
+    so different models stay draw-aligned under a common seed.
     """
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    if alpha <= 0:
-        raise ValueError(f"path-loss exponent must be > 0, got {alpha}")
     # Built in place on the scattered draw; a real scalar times a complex
     # entry rounds each part on its own, so this matches the out-of-place
     # formula bit for bit.
@@ -147,9 +144,6 @@ def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
         k = model.k_factor
         h *= np.sqrt(1.0 / (k + 1.0))
         h += np.sqrt(k / (k + 1.0)) * los
-    gain = distance ** (-alpha / 2.0)
-    if gain != 1.0:  # unit distance, as the channel bank draws, needs no pass
-        h *= gain
     return h
 
 

@@ -445,7 +445,6 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
             "coverage_gain": factors.coverage_gain,
             "coverage_gain_db": factors.coverage_gain_db,
             "measured_gain": r_null_coop / r_null,
-            "hata_A": opt.hata.A,
             "hata_B": opt.hata.B,
             # Otherwise the factors and the boundaries assume different
             # path loss.

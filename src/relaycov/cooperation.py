@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity, channel, coverage
+from . import capacity, coverage
 from .capacity import (BoundEstimate, McConfig, ParameterError, ScenarioConfig,
                        digamma)
 from .channel import NetworkGeometry
@@ -36,14 +36,11 @@ class SumRateFit:
 
 @dataclass(frozen=True)
 class HataParams:
-    """Hata propagation loss PL(dB) = A + B log10(d)."""
+    """Slope B, in dB per decade, of the Hata loss PL = A + B log10(d)."""
 
-    A: float = 120.0
     B: float = 35.22
 
     def __post_init__(self):
-        if not math.isfinite(self.A):
-            raise ParameterError("A", f"A must be finite, got {self.A}")
         if not (math.isfinite(self.B) and self.B > 0):
             raise ParameterError("B", f"B must be finite and > 0, got {self.B}")
 
@@ -83,31 +80,20 @@ def coop_df_rate(scn: ScenarioConfig, geom: NetworkGeometry,
     the relay-decoding constraint is unchanged from the single-relay case.
     The minimum is taken in place on the fresh sum-rate array.
     """
-    r_DR1, r_DR2 = two_relay_distances(geom)
-    a_sr, a_sd, a_rd = capacity._node_powers(
-        scn, geom.relay_radius, geom.dest_radius,
-        max(r_DR1, channel.MIN_LINK_DISTANCE))
-    a_rd2 = capacity._scaled_power(
-        scn, "P_r", "r_DR2", max(r_DR2, channel.MIN_LINK_DISTANCE))
-    bank = capacity._bank_for(scn, mc)
+    bank, (a_sr, a_sd, a_rd, a_rd2) = capacity._probe(scn, geom, mc, 2)
     c3 = bank.c3(a_sr)
     coop = bank.coop(a_sd, a_rd, a_rd2)
     return capacity.summarize_samples(np.minimum(c3, coop, out=coop))
 
 
 def two_relay_distances(geom: NetworkGeometry) -> tuple[float, float]:
-    """Distances from the destination to its two nearest relays.
+    """Distances from the destination to its two nearest relays, floored
+    as the estimators floor them.
 
     The serving relay sits at off-axis angle phi in [0, pi/L]; the adjacent
     relay on the far side of the destination sits at 2*pi/L - phi.
     """
-    if geom.relay_count < 2:
-        raise ValueError("cooperation needs at least two relays")
-    _, phi = channel.sector_of(geom)
-    phi2 = geom.coverage_angle - phi
-    d1 = channel.relay_dest_distance(geom.dest_radius, geom.relay_radius, phi)
-    d2 = channel.relay_dest_distance(geom.dest_radius, geom.relay_radius, phi2)
-    return d1, d2
+    return tuple(capacity._relay_distances(geom, 2))
 
 
 def jensen_sum_rate_bound(H: np.ndarray, rho_dr: float, N_r: int) -> float:
@@ -274,13 +260,5 @@ def coop_coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,
     decode-and-forward rate; on common draws it encloses the
     noncooperative boundary at every angle.
     """
-    if L < 2:
-        raise ValueError("cooperative sweep needs at least two relays")
-
-    def rate(theta_D: float, r_D: float) -> float:
-        geom = NetworkGeometry(relay_radius=r_R, relay_count=L,
-                               dest_radius=r_D, dest_angle=theta_D)
-        return coop_df_rate(scn, geom, mc).mean
-
-    return coverage.sweep_boundary(rate, scn.R_c, L, angular_steps, solver,
-                                   "df", exploit_symmetry)
+    return coverage.sweep_boundary(coop_df_rate, scn, r_R, L, angular_steps,
+                                   mc, solver, "df", exploit_symmetry)

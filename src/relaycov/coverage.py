@@ -258,17 +258,6 @@ def rate_vs_relay_radius(scn: ScenarioConfig, mc: McConfig,
     return [(float(r), capacity.estimate_c3(scn, float(r), mc).mean) for r in radii]
 
 
-def _rate_objective(scn: ScenarioConfig, r_R: float, L: int, mc: McConfig,
-                    metric: str) -> Callable[[float, float], float]:
-    def rate(theta_D: float, r_D: float) -> float:
-        geom = NetworkGeometry(relay_radius=r_R, relay_count=L,
-                               dest_radius=r_D, dest_angle=theta_D)
-        if metric == "cutset":
-            return capacity.cutset_bound(scn, geom, mc).mean
-        return capacity.df_rate(scn, geom, mc).mean
-    return rate
-
-
 def solve_ray(rate: Callable[[float, float], float], theta_D: float,
               rate_target: float, solver: SolverConfig,
               guess: float | None = None, slope: float | None = None) -> float:
@@ -304,10 +293,12 @@ def _extrapolate(solved: list[tuple[float, float]], fold: float) -> float | None
     return r1
 
 
-def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
-                   L: int, angular_steps: int, solver: SolverConfig,
-                   metric: str, exploit_symmetry: bool = True) -> CoverageRegion:
-    """Solve the boundary radius at uniformly spaced angles.
+def sweep_boundary(estimator: Callable, scn: ScenarioConfig, r_R: float,
+                   L: int, angular_steps: int, mc: McConfig,
+                   solver: SolverConfig, metric: str,
+                   exploit_symmetry: bool = True) -> CoverageRegion:
+    """Solve the boundary radius at uniformly spaced angles, probing the
+    rate estimator(scn, geom, mc) with L relays at radius r_R.
 
     With exploit_symmetry the sweep only solves angles with distinct folded
     off-relay angles (the rate depends on the angle only through that fold)
@@ -338,17 +329,18 @@ def sweep_boundary(rate: Callable[[float, float], float], rate_target: float,
         if r_max is None:
             probes: list[tuple[float, float]] = []
 
-            def recorded(theta_D: float, r_D: float) -> float:
-                value = rate(theta_D, r_D)
+            def rate(theta_D: float, r_D: float) -> float:
+                value = estimator(scn, NetworkGeometry(r_R, L, r_D, theta_D),
+                                  mc).mean
                 probes.append((r_D, value))
                 return value
 
-            r_max = solve_ray(recorded, theta, rate_target, solver,
+            r_max = solve_ray(rate, theta, scn.R_c, solver,
                               _extrapolate(solved, fold), slope)
-            slope = _crossing(probes, rate_target)[1] or slope
+            slope = _crossing(probes, scn.R_c)[1] or slope
             solved.append((fold, r_max))
         entries.append((theta, r_max))
-    return CoverageRegion(entries=tuple(entries), rate_target=rate_target,
+    return CoverageRegion(entries=tuple(entries), rate_target=scn.R_c,
                           metric=metric)
 
 
@@ -360,6 +352,6 @@ def coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,
 
     Rays where the target is unachievable appear as r_max = 0 entries.
     """
-    rate = _rate_objective(scn, r_R, L, mc, metric)
-    return sweep_boundary(rate, scn.R_c, L, angular_steps, solver, metric,
-                          exploit_symmetry)
+    estimator = capacity.cutset_bound if metric == "cutset" else capacity.df_rate
+    return sweep_boundary(estimator, scn, r_R, L, angular_steps, mc, solver,
+                          metric, exploit_symmetry)

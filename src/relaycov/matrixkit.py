@@ -40,15 +40,15 @@ def gram(H: np.ndarray) -> np.ndarray:
 
 
 def logdet_identity_plus_batch(Ms: np.ndarray) -> np.ndarray:
-    """log2 det(I + M) over a stack of Hermitian PSD matrices (..., n, n).
+    """log2 det(I + M) over a stack of PSD matrices (..., n, n) that are
+    Hermitian to the last bit, as weighted sums of gram outputs are.
 
-    Hot path for the Monte Carlo estimators: symmetrize, add the identity,
-    Cholesky-factor, and sum the log of the diagonal. I + M is positive
-    definite, so each value is >= 0; numpy.linalg.LinAlgError is raised
-    when the factorization fails.
+    Hot path for the Monte Carlo estimators: add the identity,
+    Cholesky-factor (which reads only the lower triangle), and sum the log
+    of the diagonal. I + M is positive definite, so each value is >= 0;
+    numpy.linalg.LinAlgError is raised when the factorization fails.
     """
     Ms = np.asarray(Ms, dtype=np.complex128)
-    Ms = 0.5 * (Ms + np.conj(np.swapaxes(Ms, -1, -2)))
     n = Ms.shape[-1]
     L = np.linalg.cholesky(np.eye(n) + Ms)
     diag = np.diagonal(L, axis1=-2, axis2=-1).real

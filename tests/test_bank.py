@@ -122,7 +122,7 @@ class TestClosedForm:
     def test_matches_cholesky_per_sample(self, model):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([3, 0], dtype=np.uint64)))
-        H1, H2 = (channel.sample_link_batch(model, 5000, 2, 2, 1.0, 1.0, rng)
+        H1, H2 = (channel.sample_link_batch(model, 5000, 2, 2, rng)
                   for _ in range(2))
         G1, G2 = matrixkit.gram(H1), matrixkit.gram(H2)
         T = quadratic_rows(matrixkit.gram_entries_2x2(H1),

@@ -62,39 +62,24 @@ class TestFadingModel:
         # Rician with K = 0 consumes the stream identically and keeps only
         # the scattered term, so the draws match bit for bit.
         rician0 = FadingModel.rician(0.0, LosPrototype.poorly_conditioned())
-        a = sample_link_batch(FadingModel.rayleigh(), 100, 2, 2, 1.0, 3.52, make_rng(3))
-        b = sample_link_batch(rician0, 100, 2, 2, 1.0, 3.52, make_rng(3))
+        a = sample_link_batch(FadingModel.rayleigh(), 100, 2, 2, make_rng(3))
+        b = sample_link_batch(rician0, 100, 2, 2, make_rng(3))
         assert np.array_equal(a, b)
 
 
 class TestSampleLink:
     def test_rayleigh_unit_distance_power(self):
-        H = sample_link_batch(FadingModel.rayleigh(), 100_000, 2, 2, 1.0, 3.52,
-                              make_rng(5))
+        H = sample_link_batch(FadingModel.rayleigh(), 100_000, 2, 2, make_rng(5))
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_pure_los_limit(self):
         model = FadingModel.rician(1e9, LosPrototype.poorly_conditioned())
-        H = sample_link_batch(model, 3, 2, 2, 1.0, 3.52, make_rng(7))
+        H = sample_link_batch(model, 3, 2, 2, make_rng(7))
         assert np.max(np.abs(H - np.ones((2, 2)))) < 1e-4
-
-    def test_power_law_scaling(self):
-        # Received power scales as d^-alpha; at d = 2, alpha = 3.52 the
-        # per-entry power is 2^-3.52 ~ 0.0872.
-        H = sample_link_batch(FadingModel.rayleigh(), 100_000, 2, 2, 2.0, 3.52,
-                              make_rng(9))
-        assert np.mean(np.abs(H) ** 2) == pytest.approx(2.0 ** -3.52, abs=0.002)
-
-    def test_power_law_across_distances(self):
-        for d in (0.5, 1.0, 2.0):
-            H = sample_link_batch(FadingModel.rayleigh(), 100_000, 2, 2, d, 3.52,
-                                  make_rng(11))
-            ratio = np.mean(np.abs(H) ** 2) / d ** -3.52
-            assert ratio == pytest.approx(1.0, abs=0.02)
 
     def test_rician_unit_mean_power(self):
         model = FadingModel.rician(5.0, LosPrototype.well_conditioned())
-        H = sample_link_batch(model, 100_000, 2, 2, 1.0, 3.52, make_rng(13))
+        H = sample_link_batch(model, 100_000, 2, 2, make_rng(13))
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("model,rows,cols", [
@@ -103,28 +88,19 @@ class TestSampleLink:
         (FadingModel.rician(0.7, LosPrototype.well_conditioned()), 4, 4),
     ], ids=["rayleigh", "rician-poor", "rician-well"])
     def test_bit_equal_to_out_of_place_formula(self, model, rows, cols):
-        n, alpha = 500, 3.52
+        n = 500
         z = make_rng(21).standard_normal((n, rows, cols, 2))
-        h = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
         if model.k_factor > 0:
             k = model.k_factor
-            h = (np.sqrt(k / (k + 1.0)) * resolve_los(model.los, rows, cols)
-                 + np.sqrt(1.0 / (k + 1.0)) * h)
-        for d in (1.7, 1.0):  # unit distance skips the path-loss pass
-            H = sample_link_batch(model, n, rows, cols, d, alpha, make_rng(21))
-            expected = d ** (-alpha / 2.0) * h
-            assert H.dtype == np.complex128 and H.shape == (n, rows, cols)
-            assert H.flags.c_contiguous
-            assert np.array_equal(H, expected)
-            # Bit patterns too, signed zeros included.
-            assert H.tobytes() == expected.tobytes()
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            sample_link_batch(FadingModel.rayleigh(), 1, 2, 2, 0.0, 3.52, make_rng())
-        with pytest.raises(ValueError):
-            sample_link_batch(FadingModel.rayleigh(), 1, 2, 2, -1.0, 3.52, make_rng())
-
+            expected = (np.sqrt(k / (k + 1.0)) * resolve_los(model.los, rows, cols)
+                        + np.sqrt(1.0 / (k + 1.0)) * expected)
+        H = sample_link_batch(model, n, rows, cols, make_rng(21))
+        assert H.dtype == np.complex128 and H.shape == (n, rows, cols)
+        assert H.flags.c_contiguous
+        assert np.array_equal(H, expected)
+        # Bit patterns too, signed zeros included.
+        assert H.tobytes() == expected.tobytes()
 
 class TestRelayDestDistance:
     def test_collocated(self):

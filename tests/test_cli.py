@@ -368,7 +368,7 @@ class TestRejectedKeyIsNamed:
         ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
         ("relay_radius", "nan"), ("relay_radius", "0"), ("relay_radius", "-1"),
-        ("hata_A", "nan"), ("hata_B", "-1"),
+        ("hata_B", "-1"),
         ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -392,6 +392,19 @@ class TestRejectedKeyIsNamed:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "unknown-key"
         assert err["field"] == "streams"
+        assert not out.exists()
+
+    def test_hata_A_is_an_unknown_key(self, tmp_path, capsys):
+        # Hata's intercept cancels from every distance ratio; only the slope
+        # hata_B is read.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hata_A=120\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unknown-key"
+        assert err["field"] == "hata_A"
         assert not out.exists()
 
     def test_command_is_an_unknown_key(self, tmp_path, capsys):
@@ -496,7 +509,7 @@ def manifests(draw):
             sweep_points=draw(st.integers(1, 500)), backoff=draw(POSITIVE),
             metric=draw(st.sampled_from(["df", "cutset"])),
             relay_radius=draw(st.none() | POSITIVE),
-            hata=HataParams(A=draw(FINITE), B=draw(POSITIVE)),
+            hata=HataParams(B=draw(POSITIVE)),
             exploit_symmetry=draw(st.booleans())))
 
 
@@ -518,7 +531,7 @@ def manifest_text(m: RunManifest) -> str:
     pairs.update(out=m.output_path, json=m.emit_json)
     pairs.update({f.name: getattr(m.options, f.name)
                   for f in fields(m.options) if f.name != "hata"})
-    pairs.update(hata_A=m.options.hata.A, hata_B=m.options.hata.B)
+    pairs.update(hata_B=m.options.hata.B)
     return "".join(f"{key}={_text(value)}\n" for key, value in pairs.items()
                    if value is not None)
 

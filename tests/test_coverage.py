@@ -298,11 +298,15 @@ class TestCoverageBoundary:
                            metric="df")
 
 
-def coop_rate(scn, r_R, L, mc):
+ESTIMATORS = {"df": capacity.df_rate, "cutset": capacity.cutset_bound,
+              "coop": coop_df_rate}
+
+
+def ray_rate(estimator, scn, r_R, L, mc):
     def rate(theta_D, r_D):
         geom = NetworkGeometry(relay_radius=r_R, relay_count=L,
                                dest_radius=r_D, dest_angle=theta_D)
-        return coop_df_rate(scn, geom, mc).mean
+        return estimator(scn, geom, mc).mean
     return rate
 
 
@@ -316,12 +320,11 @@ class TestWarmSweeps:
         if sweep == "coop":
             region = coop_coverage_boundary(scn, 0.95, 4, 24, mc, solver,
                                             exploit_symmetry=exploit_symmetry)
-            rate = coop_rate(scn, 0.95, 4, mc)
         else:
             region = coverage_boundary(scn, 0.95, 4, 24, mc, solver,
                                        metric=sweep,
                                        exploit_symmetry=exploit_symmetry)
-            rate = coverage._rate_objective(scn, 0.95, 4, mc, sweep)
+        rate = ray_rate(ESTIMATORS[sweep], scn, 0.95, 4, mc)
         cold = [solve_ray(rate, theta, scn.R_c, solver)
                 for theta in region.thetas]
         assert cold == list(region.radii)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relaycov import matrixkit
+from relaycov import channel, matrixkit
+from relaycov.channel import FadingModel, LosPrototype
 
 
 def make_rng(seed=7):
@@ -95,6 +96,28 @@ class TestGram:
         rng = make_rng(19)
         G = matrixkit.gram(matrixkit.sample_complex_gaussian_batch(100, 4, 6, rng))
         assert np.max(np.abs(G - np.conj(np.swapaxes(G, -1, -2)))) <= 1e-12
+
+    @pytest.mark.parametrize("model,size", [
+        (FadingModel.rayleigh(), 3), (FadingModel.rayleigh(), 4),
+        (FadingModel.rician(3.0, LosPrototype.poorly_conditioned()), 3),
+        (FadingModel.rician(10.0, LosPrototype.well_conditioned()), 4),
+    ], ids=["rayleigh-3", "rayleigh-4", "rician-poor-3", "rician-well-4"])
+    def test_weighted_gram_sums_are_exactly_hermitian(self, model, size):
+        # logdet_identity_plus_batch does not symmetrize its input: the
+        # estimators' weighted Gram sums, on either side, must already be
+        # Hermitian to the last bit.
+        rng = make_rng(31)
+        Hs = [channel.sample_link_batch(model, 500, size, size, rng)
+              for _ in range(3)]
+        for view in (lambda H: H, lambda H: np.swapaxes(H, -1, -2)):
+            G1, G2, G3 = (matrixkit.gram(view(H)) for H in Hs)
+            two = 3.7 * G1 + 0.0123 * G2
+            for M in (two, two + 41.9 * G3):
+                assert np.array_equal(M, np.conj(np.swapaxes(M, -1, -2)))
+                # So the symmetrizing pass it dropped changed nothing.
+                sym = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
+                assert np.array_equal(matrixkit.logdet_identity_plus_batch(M),
+                                      matrixkit.logdet_identity_plus_batch(sym))
 
     def test_eigenvalues_are_squared_singular_values(self):
         rng = make_rng(29)

@@ -21,7 +21,6 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
     *(lambda v, k=k: ScenarioConfig(**{k: v})
       for k in ("P_s", "P_r", "alpha", "R_c")),
     *(lambda v, k=k: SolverConfig(**{k: v}) for k in ("r_lo", "r_hi", "tol")),
-    lambda v: HataParams(A=v),
     lambda v: HataParams(B=v),
     *(lambda v, k=k: SweepOptions(**{k: v})
       for k in ("d_y", "sweep_start", "sweep_stop", "backoff", "relay_radius")),

@@ -1,7 +1,7 @@
 """The 2x2 probe path: each probe builds one fresh per-sample array in
-place, bit-equal to the out-of-place formulas on the bank's coefficient
-rows, without touching the c3 memo or arrays handed out earlier, and with
-a pinned peak of traced memory."""
+place, bit-equal to the out-of-place formulas on coefficient rows built
+here from the bank's packed Grams, without touching the c3 memo or
+arrays handed out earlier, and with a pinned peak of traced memory."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relaycov import capacity, channel, cooperation
+from relaycov import capacity, channel, cooperation, matrixkit
 from relaycov.capacity import McConfig, ScenarioConfig
 from relaycov.channel import FadingModel, LosPrototype, NetworkGeometry
 
@@ -35,19 +35,29 @@ def scn(request):
 
 
 def old_formulas(scn, mc, r_R, r_D, r_DR, r_DR2):
-    """The out-of-place formulas on the bank's coefficient rows."""
+    """The out-of-place formulas: det(I + sum_k a_k G_k) of 2x2 Grams is
+    1 + sum_k a_k tr G_k + sum_k a_k^2 det G_k + sum_{k<l} a_k a_l <G_k, G_l>,
+    written out per cut from the bank's packed Grams; c1 adds sd's terms to
+    c3's determinant and coop adds rd2's to c2's."""
     bank = capacity._bank_for(scn, mc)
-    rows = bank.quadratic_rows
+    det, mixed = matrixkit.det_2x2, matrixkit.mixed_discriminant_2x2
+    sr, sd_tx = bank.gram("sr", "tx"), bank.gram("sd", "tx")
+    sd, rd, rd2 = (bank.gram(link, "rx") for link in ("sd", "rd", "rd2"))
     a_s, a_r = scn.P_s / scn.N_s, scn.P_r / scn.N_r
     a_sr, a_sd = a_s * r_R ** -scn.alpha, a_s * r_D ** -scn.alpha
     a_rd, a_rd2 = a_r * r_DR ** -scn.alpha, a_r * r_DR2 ** -scn.alpha
-    c3_det = 1.0 + np.array([a_sr, a_sr * a_sr]) @ rows("sr")
+    c3_det = 1.0 + np.array([a_sr, a_sr * a_sr]) @ np.stack(
+        [sr[0] + sr[1], det(sr)])
+    c1_det = c3_det + np.array([a_sd, a_sd * a_sd, a_sd * a_sr]) @ np.stack(
+        [sd_tx[0] + sd_tx[1], det(sd_tx), mixed(sd_tx, sr)])
     w = np.array([a_sd, a_rd, a_sd * a_sd, a_rd * a_rd, a_sd * a_rd])
-    mac_det = 1.0 + w @ rows("mac")
-    w1 = np.array([a_sd, a_sd * a_sd, a_sd * a_sr])
+    mac_det = 1.0 + w @ np.stack(
+        [sd[0] + sd[1], rd[0] + rd[1], det(sd), det(rd), mixed(sd, rd)])
     w2 = np.array([a_rd2, a_rd2 * a_rd2, a_sd * a_rd2, a_rd * a_rd2])
-    return {"c1": np.log2(c3_det + w1 @ rows("c1")), "c2": np.log2(mac_det),
-            "c3": np.log2(c3_det), "coop": np.log2(mac_det + w2 @ rows("rd2"))}
+    coop_det = mac_det + w2 @ np.stack(
+        [rd2[0] + rd2[1], det(rd2), mixed(sd, rd2), mixed(rd, rd2)])
+    return {"c1": np.log2(c1_det), "c2": np.log2(mac_det),
+            "c3": np.log2(c3_det), "coop": np.log2(coop_det)}
 
 
 def assert_same(est, values):
@@ -68,7 +78,8 @@ class TestBitEqualToOutOfPlace:
         old = old_formulas(scn, mc, r_R, r_D, r_DR, r_DR2)
         assert_same(capacity.estimate_c3(scn, r_R, mc), old["c3"])
         assert_same(capacity.estimate_c2(scn, r_D, r_DR, mc), old["c2"])
-        assert_same(capacity.estimate_c1(scn, r_D, r_R, mc), old["c1"])
+        assert_same(capacity.summarize_samples(capacity.sample_bound_realizations(
+            scn, r_R, r_D, r_DR, mc).c1), old["c1"])
         assert_same(cooperation.estimate_coop_sum_rate(
             scn, r_D, r_DR, r_DR2, mc), old["coop"])
         # A second relay of zero power still reproduces c2 bit for bit.
