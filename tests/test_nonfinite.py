@@ -9,7 +9,7 @@ import pytest
 from relaycov import capacity, coverage
 from relaycov.capacity import McConfig, ScenarioConfig
 from relaycov.channel import FadingModel, LosPrototype
-from relaycov.cli import SweepOptions
+from relaycov.cli import SweepOptions, parse_config
 from relaycov.cooperation import HataParams
 from relaycov.coverage import SolverConfig, bisect_largest, solve_ray
 
@@ -21,6 +21,7 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
     *(lambda v, k=k: ScenarioConfig(**{k: v})
       for k in ("P_s", "P_r", "alpha", "R_c")),
     *(lambda v, k=k: SolverConfig(**{k: v}) for k in ("r_lo", "r_hi", "tol")),
+    lambda v: parse_config(f"hata_B={v}"),
     lambda v: HataParams(B=v),
     *(lambda v, k=k: SweepOptions(**{k: v})
       for k in ("d_y", "sweep_start", "sweep_stop", "backoff", "relay_radius")),
