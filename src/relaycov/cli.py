@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__, capacity, cooperation, coverage
 from .capacity import McConfig, ParameterError, ScenarioConfig
 from .channel import FadingModel, LosPrototype, NetworkGeometry
-from .cooperation import HataParams
 from .coverage import BracketError, NoSolutionError, SolverConfig
 
 COMMANDS = ("bounds", "optloc", "coverage", "coop")
@@ -48,7 +47,6 @@ class SweepOptions:
     backoff: float = 0.95
     metric: str = "df"
     relay_radius: float | None = None
-    hata: HataParams = HataParams()
     exploit_symmetry: bool = True
 
     def __post_init__(self):
@@ -174,17 +172,14 @@ _READERS = {int: _number(int), bool: _flag, str: str.strip,
             str | None: str.strip, FadingModel: _fading}
 _KEY_READERS = {"P_s": _linear, "P_r": _linear,
                 "metric": lambda raw: raw.strip().lower()}
-_SECTIONS = (("hata_", HataParams), ("", ScenarioConfig), ("", McConfig),
-             ("", SolverConfig), ("", SweepOptions))
+_SECTIONS = (ScenarioConfig, McConfig, SolverConfig, SweepOptions)
 
 
 def _key_table() -> dict:
     """Config key -> (section class, field name, reader): each section's
-    fields under its prefix (SweepOptions.hata is a section of its own),
-    plus out and json for the manifest's output fields."""
-    fields = [(prefix + f.name, cls, f.name, f.type)
-              for prefix, cls in _SECTIONS for f in dataclasses.fields(cls)
-              if f.type is not HataParams]
+    fields, plus out and json for the manifest's output fields."""
+    fields = [(f.name, cls, f.name, f.type)
+              for cls in _SECTIONS for f in dataclasses.fields(cls)]
     fields += [(key, RunManifest, name, RunManifest.__annotations__[name])
                for key, name in (("out", "output_path"), ("json", "emit_json"))]
     return {key: (cls, name,
@@ -201,9 +196,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunManifest:
     overrides maps config keys to values already read (main's flags); they
     replace the document's values before validation. Unknown keys are
     rejected by name, malformed lines by line number, and invariant
-    violations by key, in section order: hata, scenario, mc, solver,
-    options. An empty document yields the full default manifest. The
-    command is not a config key: main takes it from the command line.
+    violations by key, in section order: scenario, mc, solver, options.
+    An empty document yields the full default manifest. The command is
+    not a config key: main takes it from the command line.
     """
     given = {cls: {} for cls, _, _ in _KEYS.values()}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -229,18 +224,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunManifest:
         cls, name, _ = _KEYS[key]
         given[cls][name] = value
 
-    def build(cls, prefix="", **nested):
+    def build(cls):
         try:
-            return cls(**given[cls], **nested)
+            return cls(**given[cls])
         except ParameterError as exc:
-            raise ConfigError("validation", prefix + exc.field, str(exc))
+            raise ConfigError("validation", exc.field, str(exc))
 
-    hata = build(HataParams, "hata_")
-    scenario, mc, solver = (build(ScenarioConfig), build(McConfig),
-                            build(SolverConfig))
+    scenario, mc, solver, options = (build(cls) for cls in _SECTIONS)
     return RunManifest(scenario=scenario, mc=mc, solver=solver,
-                       options=build(SweepOptions, hata=hata),
-                       **given[RunManifest])
+                       options=options, **given[RunManifest])
 
 
 def _fmt(x: float) -> str:
@@ -401,8 +393,9 @@ def _run_coverage(manifest: RunManifest):
 def _extension_report(manifest: RunManifest, r_R: float, noncoop,
                       coop) -> dict:
     """Fit the sum-rate law at the weakest boundary angle, measure the
-    cooperative rate gain there, and evaluate the Hata extension factor
-    next to the radius gain the two boundaries show at that angle."""
+    cooperative rate gain there, and evaluate the Hata extension factor,
+    at the slope B = 10 alpha of the boundaries' own path loss, next to
+    the radius gain the two boundaries show at that angle."""
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
     achieved = [(r, t, r_coop) for (t, r), (_, r_coop)
                 in zip(noncoop.entries, coop.entries) if r > 0.0]
@@ -415,23 +408,21 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
     r_DR1, r_DR2 = cooperation.two_relay_distances(geom)
     P_d = scn.P_s * r_D ** (-scn.alpha) + scn.P_r * r_DR1 ** (-scn.alpha)
 
-    points = []
-    for scale in np.geomspace(0.25, 4.0, 7):
-        scn_s = dataclasses.replace(scn, P_s=scale * scn.P_s,
-                                    P_r=scale * scn.P_r)
-        rate = capacity.estimate_c2(scn_s, r_D, r_DR1, mc).mean
-        points.append((scale * P_d, rate))
-    fit = cooperation.fit_k1_k2(points)
+    scales = np.geomspace(0.25, 4.0, 7)  # scales[3] == 1.0 exactly
+    rates = [capacity.estimate_c2(
+        dataclasses.replace(scn, P_s=scale * scn.P_s, P_r=scale * scn.P_r),
+        r_D, r_DR1, mc).mean for scale in scales]
+    fit = cooperation.fit_k1_k2(zip(scales * P_d, rates))
 
-    noncoop_rate = capacity.estimate_c2(scn, r_D, r_DR1, mc).mean
     coop_rate = cooperation.estimate_coop_sum_rate(scn, r_D, r_DR1, r_DR2,
                                                    mc).mean
-    gamma = max(coop_rate / noncoop_rate, 1.0)
+    gamma = max(coop_rate / rates[3], 1.0)
     ratio = cooperation.power_ratio(fit.K2, P_d, gamma)
     try:
-        factors = cooperation.extension_factor(fit.K2, P_d, gamma, opt.hata.B)
+        factors = cooperation.extension_factor(fit.K2, P_d, gamma,
+                                               10.0 * scn.alpha)
     except ParameterError as exc:
-        raise ConfigError("validation", f"hata_{exc.field}", str(exc))
+        raise ConfigError("validation", "alpha", f"alpha={scn.alpha}: {exc}")
     return {
         "extension_report": {
             "theta_null_deg": math.degrees(theta_null),
@@ -442,14 +433,8 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
             "gamma": gamma,
             "power_ratio": ratio,
             "extension_factor_literal": factors.literal,
-            "coverage_gain": factors.coverage_gain,
-            "coverage_gain_db": factors.coverage_gain_db,
+            "coverage_gain": factors.coverage_gain_db,  # ratio^(-1/alpha)
             "measured_gain": r_null_coop / r_null,
-            "hata_B": opt.hata.B,
-            # Otherwise the factors and the boundaries assume different
-            # path loss.
-            "hata_B_matches_alpha": math.isclose(opt.hata.B, 10.0 * scn.alpha,
-                                                 rel_tol=1e-12),
         }
     }
 
@@ -459,13 +444,17 @@ def _run_coop(manifest: RunManifest):
     if opt.L < 2:
         raise ConfigError("validation", "L",
                           f"coop needs L >= 2, got {opt.L}")
+    if opt.metric != "df":
+        # No two-relay cut-set: the second relay's source link is not drawn.
+        raise ConfigError("validation", "metric",
+                          f"coop has only the df metric, got {opt.metric!r}")
     r_R, extras = _relay_radius(manifest)
     noncoop = coverage.coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
         metric="df", exploit_symmetry=opt.exploit_symmetry)
     coop = cooperation.coop_coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
-        exploit_symmetry=opt.exploit_symmetry)
+        exploit_symmetry=opt.exploit_symmetry, noncoop=noncoop)
     if all(r == 0.0 for r in noncoop.radii) and all(r == 0.0 for r in coop.radii):
         raise NoSolutionError(
             f"rate {scn.R_c} unachievable along every ray at relay radius {r_R}")
@@ -474,7 +463,7 @@ def _run_coop(manifest: RunManifest):
     for (theta, r_nc), (_, r_co) in zip(noncoop.entries, coop.entries):
         gain = r_co / r_nc if r_nc > 0.0 else 0.0
         rows.append([math.degrees(theta), r_nc, r_co, gain])
-    extras.update({"L": opt.L})
+    extras.update({"metric": opt.metric, "L": opt.L})
     extras.update(_extension_report(manifest, r_R, noncoop, coop))
     report = extras.get("extension_report")
     if report:

@@ -35,17 +35,6 @@ class SumRateFit:
 
 
 @dataclass(frozen=True)
-class HataParams:
-    """Slope B, in dB per decade, of the Hata loss PL = A + B log10(d)."""
-
-    B: float = 35.22
-
-    def __post_init__(self):
-        if not (math.isfinite(self.B) and self.B > 0):
-            raise ParameterError("B", f"B must be finite and > 0, got {self.B}")
-
-
-@dataclass(frozen=True)
 class ExtensionFactors:
     """Coverage-extension pair: the literal distance-ratio value and its
     reciprocal coverage_gain (>= 1), exact reciprocals; and
@@ -253,12 +242,13 @@ def extension_factor(K2: float, P_d: float, gamma: float,
 def coop_coverage_boundary(scn: ScenarioConfig, r_R: float, L: int,
                            angular_steps: int, mc: McConfig,
                            solver: SolverConfig,
-                           exploit_symmetry: bool = True) -> CoverageRegion:
+                           exploit_symmetry: bool = True,
+                           noncoop: CoverageRegion | None = None) -> CoverageRegion:
     """Coverage boundary when each destination hears its two nearest relays.
 
-    Same sweep as the noncooperative boundary but with the cooperative
-    decode-and-forward rate; on common draws it encloses the
-    noncooperative boundary at every angle.
+    Same sweep as the noncooperative boundary, noncoop, which warm-starts
+    it, but with the cooperative decode-and-forward rate; on common draws
+    it encloses the noncooperative boundary at every angle.
     """
     return coverage.sweep_boundary(coop_df_rate, scn, r_R, L, angular_steps,
-                                   mc, solver, "df", exploit_symmetry)
+                                   mc, solver, "df", exploit_symmetry, noncoop)

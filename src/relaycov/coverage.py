@@ -220,6 +220,21 @@ def _crossing(points, target: float) -> tuple[float | None, float | None]:
     return r0 + (target - v0) / slope, slope
 
 
+def _high_snr_crossing(scn: ScenarioConfig) -> tuple[float | None, float | None]:
+    """Where the relay link's high-SNR rate c0 + m log2(P_s r^-alpha) meets
+    R_c, and its slope -m alpha / (r ln 2) there; (None, None) unless that
+    radius is a positive float."""
+    m, n = sorted((scn.M_r, scn.N_s))
+    c0 = capacity.high_snr_rate(m, n, scn.N_s, 1.0)
+    try:
+        r = (scn.P_s / 2.0 ** ((scn.R_c - c0) / m)) ** (1.0 / scn.alpha)
+    except OverflowError:
+        return None, None
+    if not (math.isfinite(r) and r > 0.0):
+        return None, None
+    return r, -m * scn.alpha / (r * math.log(2.0))
+
+
 def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
                          solver: SolverConfig,
                          table: list[tuple[float, float]] | None = None) -> float:
@@ -229,8 +244,8 @@ def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
     rate; every probe reuses the same seed (common random numbers), so the
     result is within solver.tol of that seed's true crossing. table, the
     (r_R, rate) rows of rate_vs_relay_radius on the same scn and mc,
-    warm-starts the bisection at its interpolated crossing; the result is
-    the same.
+    warm-starts the bisection at its interpolated crossing, the high-SNR
+    closed form without one; the result is the same.
 
     Raises NoSolutionError when even r_lo misses the target,
     BracketError when r_hi still meets it, and FloatingPointError when
@@ -243,7 +258,8 @@ def optimal_relay_radius(scn: ScenarioConfig, mc: McConfig,
     if _meets(f, solver.r_hi):
         raise BracketError(
             f"rate {scn.R_c} still achievable at r_hi={solver.r_hi}; widen the bracket")
-    guess, slope = _crossing(table or (), scn.R_c)
+    guess, slope = (_high_snr_crossing(scn) if table is None
+                    else _crossing(table, scn.R_c))
     return bisect_largest(f, solver.r_lo, solver.r_hi, solver.tol,
                           solver.max_iter, guess, slope)
 
@@ -296,7 +312,8 @@ def _extrapolate(solved: list[tuple[float, float]], fold: float) -> float | None
 def sweep_boundary(estimator: Callable, scn: ScenarioConfig, r_R: float,
                    L: int, angular_steps: int, mc: McConfig,
                    solver: SolverConfig, metric: str,
-                   exploit_symmetry: bool = True) -> CoverageRegion:
+                   exploit_symmetry: bool = True,
+                   prior: CoverageRegion | None = None) -> CoverageRegion:
     """Solve the boundary radius at uniformly spaced angles, probing the
     rate estimator(scn, geom, mc) with L relays at radius r_R.
 
@@ -305,8 +322,8 @@ def sweep_boundary(estimator: Callable, scn: ScenarioConfig, r_R: float,
     and mirrors the rest; disabling it solves every angle directly, which
     is useful for validating the L-fold symmetry. Each ray after the first
     reached one is warm-started from the radii solved so far and the
-    rate's slope at the last crossing, which saves probes but leaves every
-    radius as a cold solve_ray would return it.
+    rate's slope at the last crossing, one before it from prior's radius at
+    that angle. A guess saves probes; a cold solve_ray finds the same radius.
     """
     if angular_steps < 4 * L:
         raise ValueError(
@@ -335,8 +352,10 @@ def sweep_boundary(estimator: Callable, scn: ScenarioConfig, r_R: float,
                 probes.append((r_D, value))
                 return value
 
-            r_max = solve_ray(rate, theta, scn.R_c, solver,
-                              _extrapolate(solved, fold), slope)
+            guess = _extrapolate(solved, fold)
+            if guess is None and prior is not None:
+                guess = prior.entries[j][1] or None
+            r_max = solve_ray(rate, theta, scn.R_c, solver, guess, slope)
             slope = _crossing(probes, scn.R_c)[1] or slope
             solved.append((fold, r_max))
         entries.append((theta, r_max))

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relaycov import cli
+from relaycov import cli, cooperation
 from relaycov.capacity import McConfig, ScenarioConfig
 from relaycov.channel import FadingModel, LosPrototype
 from relaycov.cli import ConfigError, RunManifest, SweepOptions, parse_config, run
-from relaycov.cooperation import HataParams
 from relaycov.coverage import SolverConfig
 
 
@@ -83,7 +82,7 @@ class TestParseConfig:
         assert m.options.metric == "cutset"
 
     # One bad key per section, in section order.
-    BAD = ["hata_B=-1", "P_s=-1", "samples=0", "tol=0", "metric=mean"]
+    BAD = ["P_s=-1", "samples=0", "tol=0", "metric=mean"]
 
     @pytest.mark.parametrize("i", range(len(BAD)),
                              ids=[bad.split("=")[0] for bad in BAD])
@@ -236,14 +235,17 @@ class TestRunCoop:
         rep = meta["extension_report"]
         assert rep["gamma"] >= 1.0
         assert rep["coverage_gain"] >= 1.0
-        assert rep["extension_factor_literal"] * rep["coverage_gain"] == \
-            pytest.approx(1.0, abs=1e-15)
+        # literal = power_ratio^(1/B), coverage_gain = power_ratio^(-10/B).
+        assert rep["extension_factor_literal"] ** 10 * rep["coverage_gain"] \
+            == pytest.approx(1.0, rel=1e-12)
         assert rep["K1"] > 0 and rep["K2"] > 0
+        assert meta["metric"] == "df"
 
-    def test_extension_report_against_measured_gain(self, tmp_path):
+    def test_extension_report_against_measured_gain(self, tmp_path, capsys):
         # Defaults, seed 42: the CSV's gain at theta_null = 45 degrees is
-        # the measured gain. The dB-slope factor power_ratio^(-10/B) lies
-        # within 2 % of it; the literal power_ratio^(-1/B) does not.
+        # the measured gain. The headline, power_ratio^(-1/alpha), the
+        # distance ratio at the boundaries' path loss, lies within 2 % of
+        # it; the literal power_ratio^(-1/B) at B = 10 alpha does not.
         out = tmp_path / "coop.csv"
         assert run(replace(parse_config(""), command="coop",
                            output_path=str(out))) == 0
@@ -254,26 +256,18 @@ class TestRunCoop:
         assert at_null[3] == pytest.approx(rep["measured_gain"], rel=1e-8)
         assert rep["theta_null_deg"] == 45.0
         assert rep["measured_gain"] == pytest.approx(1.21296051, rel=1e-8)
-        assert rep["coverage_gain_db"] == pytest.approx(1.22572808, rel=1e-8)
-        assert rep["coverage_gain_db"] == pytest.approx(
-            rep["power_ratio"] ** (-10.0 / rep["hata_B"]), rel=1e-15)
-        assert rep["coverage_gain"] == pytest.approx(1.02056205, rel=1e-8)
-        gap = abs(rep["coverage_gain_db"] / rep["measured_gain"] - 1.0)
-        literal_gap = abs(rep["coverage_gain"] / rep["measured_gain"] - 1.0)
+        assert rep["coverage_gain"] == pytest.approx(1.22586983, rel=1e-8)
+        assert rep["coverage_gain"] == pytest.approx(
+            rep["power_ratio"] ** (-1.0 / 3.52), rel=1e-15)
+        assert capsys.readouterr().out.startswith(
+            "coverage_gain=1.22586983 ")
+        literal = 1.0 / rep["extension_factor_literal"]
+        assert literal == pytest.approx(1.02057385, rel=1e-8)
+        gap = abs(rep["coverage_gain"] / rep["measured_gain"] - 1.0)
+        literal_gap = abs(literal / rep["measured_gain"] - 1.0)
         assert gap < 0.02 < literal_gap
-        # The default hata_B = 35.22 is not 10 * alpha = 35.2.
-        assert rep["hata_B_matches_alpha"] is False
-
-    def test_hata_slope_matching_alpha_is_flagged(self, tmp_path):
-        out = tmp_path / "coop.csv"
-        manifest = replace(parse_config("samples=800\nangular_steps=16\n"
-                                        "relay_radius=0.95\nalpha=3\n"
-                                        "hata_B=30\n"),
-                           command="coop", output_path=str(out))
-        assert run(manifest) == 0
-        rep = json.loads((tmp_path / "coop.meta.json").read_text())[
-            "extension_report"]
-        assert rep["hata_B_matches_alpha"] is True
+        assert not {"coverage_gain_db", "hata_B",
+                    "hata_B_matches_alpha"} & set(rep)
 
 
 class TestMain:
@@ -368,7 +362,6 @@ class TestRejectedKeyIsNamed:
         ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
         ("relay_radius", "nan"), ("relay_radius", "0"), ("relay_radius", "-1"),
-        ("hata_B", "-1"),
         ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -395,8 +388,8 @@ class TestRejectedKeyIsNamed:
         assert not out.exists()
 
     def test_hata_A_is_an_unknown_key(self, tmp_path, capsys):
-        # Hata's intercept cancels from every distance ratio; only the slope
-        # hata_B is read.
+        # Hata's intercept cancels from every distance ratio; only the slope,
+        # 10 * alpha, is read.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hata_A=120\n")
         out = tmp_path / "o.csv"
@@ -406,6 +399,19 @@ class TestRejectedKeyIsNamed:
         assert err["error"] == "unknown-key"
         assert err["field"] == "hata_A"
         assert not out.exists()
+
+    def test_hata_B_is_an_unknown_key(self, tmp_path, capsys):
+        # The extension report's Hata slope is 10 * alpha, the path loss
+        # the boundaries are measured under.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hata_B=35.2\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["coop", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unknown-key"
+        assert err["field"] == "hata_B"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_command_is_an_unknown_key(self, tmp_path, capsys):
         # The command line names the command; a config key that it
@@ -425,28 +431,40 @@ class TestRejectedBeforeAnyFile:
     """Inputs that only fail once the command builds its geometry are
     still rejected with exit 2 naming the key, and nothing is written."""
 
-    @pytest.mark.parametrize("command,config,key", [
-        ("optloc", "sweep_start=0\n", "sweep_start"),
-        ("optloc", "sweep_start=0.5\nsweep_stop=-1\n", "sweep_stop"),
-        ("bounds", "d_y=0\n", "d_y"),
-        ("coop", "hata_B=1e-300\nsamples=2000\n", "hata_B"),
-        ("coop", "hata_B=0.005\nsamples=2000\n", "hata_B"),
-        ("coverage", "relay_radius=1e-300\n", "relay_radius"),
-        ("optloc", "sweep_start=1e-300\n", "sweep_start"),
-        ("optloc", "P_s=1e300\n", "P_s"),
-        ("coverage", "backoff=1e-200\nsamples=500\n", "backoff"),
-        ("optloc", "r_hi=0.5\nsamples=1000\n", "r_hi"),
-        ("coverage", "r_hi=0.5\nsamples=1000\n", "r_hi"),
-        ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi"),
+    # The extension report's slope is 10 * alpha. A gain that overflows a
+    # float needs an alpha far below 1e-3, at which the rate hardly falls
+    # between r_lo and any finite r_hi, so no sweep reaches the report.
+    # hata_slope stands in the slope such a run would use, to check that
+    # the overflow is reported as alpha's.
+    @pytest.mark.parametrize("command,config,key,hata_slope", [
+        ("optloc", "sweep_start=0\n", "sweep_start", None),
+        ("optloc", "sweep_start=0.5\nsweep_stop=-1\n", "sweep_stop", None),
+        ("bounds", "d_y=0\n", "d_y", None),
+        ("coop", "samples=2000\n", "alpha", 1e-300),
+        ("coop", "samples=2000\n", "alpha", 0.005),
+        ("coop", "metric=cutset\nsamples=2000\n", "metric", None),
+        ("coverage", "relay_radius=1e-300\n", "relay_radius", None),
+        ("optloc", "sweep_start=1e-300\n", "sweep_start", None),
+        ("optloc", "P_s=1e300\n", "P_s", None),
+        ("coverage", "backoff=1e-200\nsamples=500\n", "backoff", None),
+        ("optloc", "r_hi=0.5\nsamples=1000\n", "r_hi", None),
+        ("coverage", "r_hi=0.5\nsamples=1000\n", "r_hi", None),
+        ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi",
+         None),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
             "bounds-relay-on-a-node", "coop-extension-factor-underflow",
-            "coop-db-gain-overflows",
+            "coop-db-gain-overflows", "coop-has-no-cutset-metric",
             "coverage-relay-radius-overflows", "optloc-start-overflows",
             "optloc-power-overflows", "coverage-backoff-overflows",
             "optloc-bracket-too-narrow", "coverage-radius-bracket-too-narrow",
             "coverage-ray-bracket-too-narrow"])
-    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config,
-                                    key):
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                    command, config, key, hata_slope):
+        if hata_slope is not None:
+            factor = cooperation.extension_factor
+            monkeypatch.setattr(
+                cooperation, "extension_factor",
+                lambda K2, P_d, gamma, B: factor(K2, P_d, gamma, hata_slope))
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         out = tmp_path / "o.csv"
@@ -509,7 +527,6 @@ def manifests(draw):
             sweep_points=draw(st.integers(1, 500)), backoff=draw(POSITIVE),
             metric=draw(st.sampled_from(["df", "cutset"])),
             relay_radius=draw(st.none() | POSITIVE),
-            hata=HataParams(B=draw(POSITIVE)),
             exploit_symmetry=draw(st.booleans())))
 
 
@@ -530,8 +547,7 @@ def manifest_text(m: RunManifest) -> str:
     pairs.update({f.name: getattr(m.solver, f.name) for f in fields(m.solver)})
     pairs.update(out=m.output_path, json=m.emit_json)
     pairs.update({f.name: getattr(m.options, f.name)
-                  for f in fields(m.options) if f.name != "hata"})
-    pairs.update(hata_B=m.options.hata.B)
+                  for f in fields(m.options)})
     return "".join(f"{key}={_text(value)}\n" for key, value in pairs.items()
                    if value is not None)
 

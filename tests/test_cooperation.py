@@ -17,7 +17,6 @@ from relaycov.channel import NetworkGeometry
 from relaycov.cooperation import (
     ExtensionFactors,
     FitFailureError,
-    HataParams,
     SumRateFit,
     coop_coverage_boundary,
     coop_df_rate,
@@ -204,12 +203,6 @@ class TestPowerRatio:
                 ratio = power_ratio(x, 1.0, gamma)
                 denom = math.expm1(gamma * math.log1p(x))
                 assert abs(ratio * denom - x) <= 1e-12 * x
-
-
-class TestHata:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HataParams(B=0.0)
 
 
 class TestExtensionFactor:

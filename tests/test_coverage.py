@@ -330,9 +330,10 @@ class TestWarmSweeps:
         assert cold == list(region.radii)
 
     def test_default_coop_run_probe_cost(self, monkeypatch, tmp_path):
-        # relaycov coop at defaults: the first ray of each sweep is solved
-        # cold (2 + 14 probes); every later ray is warm-started and costs
-        # at most 2 + 5.
+        # relaycov coop at defaults: the noncoop sweep's first ray is solved
+        # cold (2 + 14 probes); the coop sweep's first ray guesses the
+        # noncoop radius and no slope (at most 2 + 6); every later ray is
+        # warm-started from its own sweep and costs at most 2 + 3.
         rays = []
 
         def counted(rate, theta_D, rate_target, solver, guess=None, slope=None):
@@ -343,17 +344,20 @@ class TestWarmSweeps:
                 return rate(theta, r)
 
             r_max = solve_ray(probe, theta_D, rate_target, solver, guess, slope)
-            rays.append((guess is None, len(calls)))
+            rays.append((guess, slope, len(calls), r_max))
             return r_max
 
         monkeypatch.setattr(coverage, "solve_ray", counted)
         assert cli.run(cli.RunManifest(
             command="coop", output_path=str(tmp_path / "coop.csv"))) == 0
-        assert [cold for cold, _ in rays].count(True) == 2
-        assert all(probes == 16 for cold, probes in rays if cold)
-        warm = [probes for cold, probes in rays if not cold]
-        assert len(warm) == 18
-        assert max(warm) <= 2 + 5
+        # 10 distinct folds per sweep, noncoop first.
+        assert len(rays) == 20
+        guess, slope, probes, noncoop_r0 = rays[0]
+        assert (guess, slope, probes) == (None, None, 2 + 14)
+        guess, slope, probes, _ = rays[10]
+        assert (guess, slope) == (noncoop_r0, None)
+        assert probes <= 2 + 6
+        assert max(probes for *_, probes, _ in rays[1:10] + rays[11:]) <= 2 + 3
 
 
 class TestRelayRadiusWarmStart:
@@ -368,9 +372,36 @@ class TestRelayRadiusWarmStart:
             return estimate_c3(*args)
 
         monkeypatch.setattr(capacity, "estimate_c3", counted)
-        cold = optimal_relay_radius(scn, mc, solver)
-        cold_probes = len(calls)
+        # The high-SNR closed form guesses when no table is given.
+        closed_form = optimal_relay_radius(scn, mc, solver)
+        closed_form_probes = len(calls)
         calls.clear()
-        assert optimal_relay_radius(scn, mc, solver, table) == cold
-        assert cold_probes == 2 + 14
-        assert len(calls) <= 2 + 4
+        assert optimal_relay_radius(scn, mc, solver, table) == closed_form
+        assert len(calls) <= 2 + 3
+        calls.clear()
+        monkeypatch.setattr(coverage, "_high_snr_crossing",
+                            lambda scn: (None, None))
+        assert optimal_relay_radius(scn, mc, solver) == closed_form
+        assert len(calls) == 2 + 14
+        assert closed_form_probes <= 2 + 8
+
+    @pytest.mark.parametrize("scn", [
+        ScenarioConfig(), ScenarioConfig(M_r=3, N_s=1, R_c=3.0),
+        ScenarioConfig(R_c=1e-300), ScenarioConfig(alpha=2.0)],
+        ids=["defaults", "1x3", "tiny-R_c", "alpha-2"])
+    def test_high_snr_guess_is_the_closed_form_crossing(self, scn):
+        r, slope = coverage._high_snr_crossing(scn)
+        m, n = sorted((scn.M_r, scn.N_s))
+        rate = lambda r: capacity.high_snr_rate(m, n, scn.N_s,
+                                                scn.P_s * r ** -scn.alpha)
+        assert rate(r) == pytest.approx(scn.R_c, rel=1e-9, abs=1e-9)
+        h = 1e-6 * r
+        assert slope == pytest.approx((rate(r + h) - rate(r - h)) / (2 * h),
+                                      rel=1e-6)
+
+    @pytest.mark.parametrize("scn", [
+        ScenarioConfig(R_c=1e6), ScenarioConfig(alpha=1e-300),
+        ScenarioConfig(P_s=1e300, alpha=1e-3)],
+        ids=["huge-R_c", "tiny-alpha", "radius-overflows"])
+    def test_high_snr_guess_dropped_when_not_a_float(self, scn):
+        assert coverage._high_snr_crossing(scn) == (None, None)

@@ -10,7 +10,6 @@ from relaycov import capacity, coverage
 from relaycov.capacity import McConfig, ScenarioConfig
 from relaycov.channel import FadingModel, LosPrototype
 from relaycov.cli import SweepOptions, parse_config
-from relaycov.cooperation import HataParams
 from relaycov.coverage import SolverConfig, bisect_largest, solve_ray
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -21,8 +20,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
     *(lambda v, k=k: ScenarioConfig(**{k: v})
       for k in ("P_s", "P_r", "alpha", "R_c")),
     *(lambda v, k=k: SolverConfig(**{k: v}) for k in ("r_lo", "r_hi", "tol")),
-    lambda v: parse_config(f"hata_B={v}"),
-    lambda v: HataParams(B=v),
+    lambda v: parse_config(f"alpha={v}"),
+    lambda v: parse_config(f"R_c={v}"),
     *(lambda v, k=k: SweepOptions(**{k: v})
       for k in ("d_y", "sweep_start", "sweep_stop", "backoff", "relay_radius")),
     lambda v: FadingModel.rician(v, LosPrototype.poorly_conditioned()),
