@@ -269,6 +269,22 @@ class TestRunCoop:
         assert not {"coverage_gain_db", "hata_B",
                     "hata_B_matches_alpha"} & set(rep)
 
+    def test_hata_slope_matching_alpha_is_flagged(self, tmp_path):
+        # The report's Hata slope is 10 * alpha by construction, so at
+        # alpha = 3 both factors are taken at B = 30 and no flag is needed.
+        out = tmp_path / "coop.csv"
+        manifest = replace(parse_config("samples=800\nangular_steps=16\n"
+                                        "relay_radius=0.95\nalpha=3\n"),
+                           command="coop", output_path=str(out))
+        assert run(manifest) == 0
+        rep = json.loads((tmp_path / "coop.meta.json").read_text())[
+            "extension_report"]
+        assert rep["extension_factor_literal"] == pytest.approx(
+            rep["power_ratio"] ** (1.0 / 30.0), rel=1e-12)
+        assert rep["coverage_gain"] == pytest.approx(
+            rep["power_ratio"] ** (-1.0 / 3.0), rel=1e-12)
+        assert "hata_B_matches_alpha" not in rep
+
 
 class TestMain:
     def test_cli_round_trip(self, tmp_path, capsys):
@@ -362,6 +378,7 @@ class TestRejectedKeyIsNamed:
         ("sweep_start", "nan"),
         ("sweep_stop", "inf"), ("backoff", "0"), ("backoff", "nan"),
         ("relay_radius", "nan"), ("relay_radius", "0"), ("relay_radius", "-1"),
+        ("hata_B", "-1"),
         ("metric", "mean"), ("fading_sr", "rician:K=-1:los=poor"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -371,7 +388,9 @@ class TestRejectedKeyIsNamed:
         code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "validation"
+        # hata_B is no longer a key: the slope is 10 * alpha.
+        assert err["error"] == ("unknown-key" if key == "hata_B"
+                                else "validation")
         assert err["field"] == key
         assert not out.exists()
 
