@@ -3,6 +3,8 @@ decode-and-forward achievable rate under receiver-only CSI with equal
 transmit power per antenna, plus the high-SNR closed form."""
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,10 +23,16 @@ PSI_ONE = -0.577215664901533
 # so per-sample realizations are aligned across estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 
-# Gram sides each link keeps: "tx" is H^dagger H, the source's cuts c1 and
-# c3; "rx" is H H^dagger, the destination's cut c2 and the coop sum-rate.
-_GRAM_SIDES = {"sr": ("tx",), "sd": ("tx", "rx"), "rd": ("rx",),
-               "rd2": ("rx",)}
+# Every (link, side) Gram a bank can keep, the plan of a bank built without
+# one: "tx" is H^dagger H, the source's cuts c1 and c3; "rx" is H H^dagger,
+# the destination's cut c2 and the coop sum-rate.
+_ALL_SIDES = (("sr", "tx"), ("sd", "tx"), ("sd", "rx"), ("rd", "rx"),
+              ("rd2", "rx"))
+
+# Samples per read-ahead chunk, and chunks drawn ahead that the worker may
+# hold at once: four 2x2 chunks take 1 MB.
+_CHUNK = 4096
+_SLOTS = 4
 
 
 class ParameterError(ValueError):
@@ -153,19 +161,104 @@ def _link_models(scn: ScenarioConfig) -> dict[str, FadingModel]:
             "rd": scn.fading_rd, "rd2": scn.fading_rd}
 
 
+class _ReadAhead:
+    """Standard normals in a fixed sequence of chunk shapes, drawn ahead by
+    one worker thread into a ring of preallocated slots.
+
+    The worker is the generator's only user and calls nothing but
+    Generator.standard_normal(out=...), so the chunks hold, in order, the
+    values one draw of them all would give. The main thread reads them in
+    order through standard_normal(shape), as it would read the generator;
+    a chunk's slot is handed back to the worker when the next chunk is
+    read. An exception on the worker is raised by the read that waits for
+    the chunk it failed to draw.
+    """
+
+    def __init__(self, rng: np.random.Generator,
+                 shapes: list[tuple[int, ...]]):
+        self._shapes = shapes
+        size = max(math.prod(shape) for shape in shapes)
+        self._slots = [np.empty(size) for _ in range(min(_SLOTS, len(shapes)))]
+        self._free = threading.Semaphore(len(self._slots))
+        self._filled = threading.Semaphore(0)
+        self._drawn = 0  # chunks the worker has filled
+        self._read = 0  # chunks the main thread has read
+        self._error: Exception | None = None
+        self._stopping = False
+        self._worker = threading.Thread(target=self._fill, args=(rng,),
+                                        name="relaycov-draws", daemon=True)
+        self._worker.start()
+
+    def _chunk(self, k: int) -> np.ndarray:
+        shape = self._shapes[k]
+        slot = self._slots[k % len(self._slots)]
+        return slot[:math.prod(shape)].reshape(shape)
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        try:
+            for k in range(len(self._shapes)):
+                self._free.acquire()
+                if self._stopping:
+                    return
+                rng.standard_normal(out=self._chunk(k))
+                self._drawn = k + 1
+                self._filled.release()
+        except Exception as exc:
+            self._error = exc
+            self._filled.release()
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next chunk, which must have the planned shape. It stays
+        valid until the next read."""
+        k = self._read
+        if self._stopping:
+            raise RuntimeError("read-ahead draws were stopped")
+        if k == len(self._shapes) or tuple(shape) != self._shapes[k]:
+            raise ValueError(f"read-ahead chunk {k} is not of shape {shape}")
+        if k > 0:
+            # Chunk k - 1 has been used. A read repeated after a failure
+            # releases it again, which is harmless: the worker is gone.
+            self._free.release()
+        self._filled.acquire()
+        if k == self._drawn:
+            # The worker failed on this chunk; later reads raise too.
+            self._filled.release()
+            raise self._error
+        self._read = k + 1
+        return self._chunk(k)
+
+    def close(self) -> None:
+        """Stop the worker between chunks and join it."""
+        self._stopping = True
+        self._free.release()  # wakes a worker waiting for a slot
+        self._worker.join()
+
+
 class ChannelBank:
     """Unit-distance channel statistics for one scenario and McConfig.
 
     Channel draws do not depend on a probe's geometry, so a bank serves
     every probe on the same antenna shapes, fading models and McConfig.
-    Each link is drawn the first time a probe needs it, together with any
-    link before it in the canonical order, so the generator always draws
-    sr, sd, rd, rd2 in turn and realizations do not depend on which bound
-    was asked for first. The bank keeps only per-sample Gram matrices, on
-    the sides listed in _GRAM_SIDES (their packed entries when that side
-    has two antennas), the statistics its log-dets build from them on
-    first use (quadratic-form coefficient rows, or one Gram's
-    eigenvalues), the last c3 array it computed, and one scratch row.
+
+    plan lists the (link, side) Grams the bank's callers read; without one
+    the bank keeps _ALL_SIDES. Each link is drawn the first time a probe
+    reads it, together with any link before it in the canonical order, so
+    the generator always draws sr, sd, rd, rd2 in turn and realizations do
+    not depend on which bound was asked for first. Only the planned sides
+    of a link are packed, and reading a side outside the plan raises
+    LookupError. The bank keeps only those per-sample Gram matrices (their
+    packed entries when that side has two antennas), the statistics its
+    log-dets build from them on first use (quadratic-form coefficient rows,
+    or one Gram's eigenvalues), the last c3 array it computed, and one
+    scratch row.
+
+    When a plan's links, through the last one in the canonical order, are
+    two or more, one worker thread draws their standard normals from the
+    bank's generator ahead of the main thread, _CHUNK samples at a time,
+    and a probe packs each chunk while the next one is drawn: the values
+    are those of one draw per link. A bank without a plan, or with one
+    link, draws each link whole on the main thread. close() stops the
+    worker; _bank_for and release_bank close the banks they drop.
 
     Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
     is one call of _logdet. c1 and c3 are the source's cuts on
@@ -175,39 +268,84 @@ class ChannelBank:
     read-only memo.
     """
 
-    def __init__(self, scn: ScenarioConfig, mc: McConfig):
+    def __init__(self, scn: ScenarioConfig, mc: McConfig,
+                 plan: tuple[tuple[str, str], ...] | None = None):
         self.key = _bank_key(scn, mc)
         self.scn, self.mc = scn, mc
+        self.plan = _ALL_SIDES if plan is None else tuple(plan)
+        for link, side in self.plan:
+            if link not in _LINK_ORDER or side not in ("tx", "rx"):
+                raise ValueError(f"no {link}/{side} Gram to plan")
         self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
-        self._rng = np.random.Generator(np.random.Philox(
+        rng = np.random.Generator(np.random.Philox(
             key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
+        links = _LINK_ORDER[:1 + max(_LINK_ORDER.index(link)
+                                     for link, _ in self.plan)]
+        n = mc.samples
+        self._reader = None
+        if plan is not None and len(links) > 1:
+            self._reader = _ReadAhead(rng, [
+                (min(_CHUNK, n - start), *self._shapes[name], 2)
+                for name in links for start in range(0, n, _CHUNK)])
+            # Stops the worker of a bank dropped without close().
+            self._finalizer = weakref.finalize(self, self._reader.close)
+        self._source = self._reader or rng
         self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
         self._grams: dict[tuple[str, str], np.ndarray] = {}
         self._stats: dict[tuple, np.ndarray] = {}
         self._c3: tuple[float, np.ndarray] | None = None
         self._scratch: np.ndarray | None = None
 
+    def close(self) -> None:
+        """Stop and join the read-ahead worker, if any; links it has not
+        handed over can no longer be read."""
+        if self._reader is not None:
+            self._finalizer()
+
     def _draw_through(self, link: str) -> None:
+        n = self.mc.samples
+        step = _CHUNK if self._reader else n
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
-            # Unit distance: path loss is applied per probe.
-            H = channel.sample_link_batch(self._models[name], self.mc.samples,
-                                          rows, cols, self._rng)
-            for side in _GRAM_SIDES[name]:
-                # The Gram of H^T is conj(H^dagger H); traces, determinants
-                # and log-dets do not change when every Gram is conjugated.
-                M = H if side == "rx" else np.swapaxes(H, -1, -2)
-                self._grams[name, side] = (
-                    matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
-                    else matrixkit.gram(M))
-        self._drawn = max(self._drawn, stop)
+            sides = [side for lk, side in self.plan if lk == name]
+            for start in range(0, n, step):
+                m = min(step, n - start)
+                # Unit distance: path loss is applied per probe.
+                H = channel.sample_link_batch(self._models[name], m, rows,
+                                              cols, self._source)
+                for side in sides:
+                    # The Gram of H^T is conj(H^dagger H); traces,
+                    # determinants and log-dets do not change when every
+                    # Gram is conjugated.
+                    M = H if side == "rx" else np.swapaxes(H, -1, -2)
+                    G = (matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
+                         else matrixkit.gram(M))
+                    if m == n:
+                        self._grams[name, side] = G
+                        continue
+                    # Packed (4, m) entries hold samples last, (m, k, k)
+                    # stacks first.
+                    if start == 0:
+                        self._grams[name, side] = np.empty(
+                            (len(G), n) if G.ndim == 2 else (n, *G.shape[1:]),
+                            G.dtype)
+                    full = self._grams[name, side]
+                    if G.ndim == 2:
+                        full[:, start:start + m] = G
+                    else:
+                        full[start:start + m] = G
+            self._drawn += 1
 
     def gram(self, link: str, side: str) -> np.ndarray:
         """Per-sample Gram statistic of a link at unit distance on one side
         ("tx" or "rx"): packed (4, n) entries when that side has two
-        antennas, else an (n, k, k) stack."""
+        antennas, else an (n, k, k) stack. LookupError when the plan does
+        not hold it."""
+        if (link, side) not in self.plan:
+            raise LookupError(f"the {link}/{side} Gram is not in this bank's "
+                              f"plan {self.plan}")
         self._draw_through(link)
         return self._grams[link, side]
 
@@ -312,9 +450,11 @@ def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
             scn.fading_sr, scn.fading_sd, scn.fading_rd)
 
 
-# The live bank. A probe reuses it when its key matches and replaces it
-# otherwise, so at most one bank is alive; cli.run releases it on return.
+# The live bank, and the plan new banks are built with. A probe reuses the
+# bank when its key matches and replaces it otherwise, so at most one bank
+# is alive; cli.run states a plan first and releases both on return.
 _bank: ChannelBank | None = None
+_plan: tuple[tuple[str, str], ...] | None = None
 
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
@@ -323,14 +463,28 @@ def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
         return _bank
     key = _bank_key(scn, mc)
     if _bank is None or _bank.key != key:
-        _bank = ChannelBank(scn, mc)
+        if _bank is not None:
+            _bank.close()
+        _bank = ChannelBank(scn, mc, _plan)
     return _bank
 
 
+def plan_draws(plan: tuple[tuple[str, str], ...]) -> None:
+    """Release the live bank and build the next ones with plan, the
+    (link, side) Grams the caller's probes read (see ChannelBank), until
+    release_bank."""
+    global _plan
+    release_bank()
+    _plan = tuple(plan)
+
+
 def release_bank() -> None:
-    """Drop the live channel bank, so the next probe draws afresh."""
-    global _bank
-    _bank = None
+    """Stop and join the live bank's read-ahead worker, drop the bank and
+    the plan, so the next probe draws afresh with every link and side."""
+    global _bank, _plan
+    if _bank is not None:
+        _bank.close()
+    _bank = _plan = None
 
 
 def _scaled_power(scn: ScenarioConfig, power: str, name: str,

@@ -4,6 +4,7 @@ a JSON metadata sidecar."""
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -302,8 +303,18 @@ def _check_link_budget(scn: ScenarioConfig,
                 f"1e{_MAX_POWER_DECADES:g} at alpha={scn.alpha}")
 
 
+# The (link, side) Grams each command's probes read: sr's source side for
+# c3 (the relay-radius solve), sd's and rd's destination side for c2, then
+# sd's source side for c1 or rd2's destination side for the coop sum-rate.
+_RELAY_PLAN = (("sr", "tx"),)
+_DF_PLAN = _RELAY_PLAN + (("sd", "rx"), ("rd", "rx"))
+_CUTSET_PLAN = _DF_PLAN + (("sd", "tx"),)
+_COOP_PLAN = _DF_PLAN + (("rd2", "rx"),)
+
+
 def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
+    capacity.plan_draws(_CUTSET_PLAN)
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
     stop = 1.0 if opt.sweep_stop is None else opt.sweep_stop
     grid = np.linspace(start, stop, opt.sweep_points)
@@ -339,6 +350,7 @@ def _run_bounds(manifest: RunManifest):
 
 def _run_optloc(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
+    capacity.plan_draws(_RELAY_PLAN)
     start = 0.25 if opt.sweep_start is None else opt.sweep_start
     stop = 2.5 if opt.sweep_stop is None else opt.sweep_stop
     radii = np.linspace(start, stop, opt.sweep_points)
@@ -377,6 +389,7 @@ def _relay_radius(manifest: RunManifest) -> tuple[float, dict]:
 
 def _run_coverage(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
+    capacity.plan_draws(_CUTSET_PLAN if opt.metric == "cutset" else _DF_PLAN)
     r_R, extras = _relay_radius(manifest)
     region = coverage.coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
@@ -441,6 +454,7 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
 
 def _run_coop(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
+    capacity.plan_draws(_COOP_PLAN)
     if opt.L < 2:
         raise ConfigError("validation", "L",
                           f"coop needs L >= 2, got {opt.L}")
@@ -483,8 +497,11 @@ _RUNNERS = {
 def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns 0 iff all requested outputs exist.
 
-    The channel bank the run's probes share is released on return, so each
-    run pays for its own draws.
+    The command's runner states the (link, side) Grams its probes read
+    before the first probe, so the channel bank they share packs only
+    those and, for two or more links, draws them ahead on a worker thread.
+    The bank is released on return, however the runner exits: its worker
+    is stopped and joined, and each run pays for its own draws.
     """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")
@@ -499,7 +516,10 @@ def run(manifest: RunManifest) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+# Built on the first call of main, not at import: importing relaycov.cli
+# then does not pay for the build and argparse's locale import, ~2 ms.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycov",
         description="Capacity bounds, relay placement, and coverage regions "
@@ -516,7 +536,12 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="also write the dataset as JSON next to the CSV")
-    flags = vars(parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None) -> int:
+    # One parser serves every call: parse_args keeps no state between calls.
+    flags = vars(_parser().parse_args(argv))
     command, config = flags.pop("command"), flags.pop("config")
 
     try:

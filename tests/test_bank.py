@@ -2,6 +2,8 @@
 quadratic form against the Cholesky route, the c3 memo, and draw counts."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -249,3 +251,191 @@ class TestC3Memo:
                 arr += 1.0
         assert np.array_equal(capacity.estimate_c3(scn, 0.9, mc)._values, kept)
         capacity.release_bank()
+
+
+# Every (link, side) Gram, given as a plan: with four links it draws ahead.
+FULL_PLAN = capacity._ALL_SIDES
+
+
+def oracle_gram(H, side):
+    M = H if side == "rx" else np.swapaxes(H, -1, -2)
+    return (matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
+            else matrixkit.gram(M))
+
+
+def within(seconds, fn):
+    """fn() run on a helper thread, which must finish within seconds; its
+    result is returned and its exception raised here. The thread is a
+    daemon, so a call that hangs fails the test without blocking exit."""
+    box = {}
+
+    def call():
+        try:
+            box["result"] = fn()
+        except Exception as exc:
+            box["error"] = exc
+
+    helper = threading.Thread(target=call, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no result within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+@pytest.fixture
+def banks(monkeypatch):
+    """Every channel bank built while the test runs."""
+    built = []
+
+    class Recording(capacity.ChannelBank):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(capacity, "ChannelBank", Recording)
+    return built
+
+
+@pytest.fixture
+def threads():
+    """The thread count before the test, which it must end at."""
+    capacity.release_bank()
+    baseline = threading.active_count()
+    yield baseline
+    capacity.release_bank()
+    assert threading.active_count() == baseline
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("samples", [1, capacity._CHUNK - 1,
+                                         capacity._CHUNK + 1, 20000])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_planned_draws_match_oracle(self, name, samples, threads):
+        scn = ScenarioConfig(**SCENARIOS[name])
+        mc = McConfig(seed=7, samples=samples)
+        bank = capacity.ChannelBank(scn, mc, FULL_PLAN)
+        try:
+            assert bank._reader is not None
+            H = oracle_links(scn, mc)
+            for link, side in FULL_PLAN:
+                assert np.array_equal(bank.gram(link, side),
+                                      oracle_gram(H[link], side)), (link, side)
+        finally:
+            bank.close()
+
+    def test_tiny_chunks_under_fast_switching(self, threads, monkeypatch):
+        # Hundreds of slot handoffs per link through a two-slot ring: a slot
+        # handed back too early would be overwritten before it is packed.
+        monkeypatch.setattr(capacity, "_CHUNK", 7)
+        monkeypatch.setattr(capacity, "_SLOTS", 2)
+        scn = ScenarioConfig(**SCENARIOS["Ns3-Md2"])
+        mc = McConfig(seed=11, samples=3000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bank = capacity.ChannelBank(scn, mc, FULL_PLAN)
+            try:
+                got = within(60, lambda: {
+                    (link, side): bank.gram(link, side)
+                    for link, side in FULL_PLAN})
+            finally:
+                bank.close()
+        finally:
+            sys.setswitchinterval(interval)
+        H = oracle_links(scn, mc)
+        for (link, side), gram in got.items():
+            assert np.array_equal(gram, oracle_gram(H[link], side)), (link, side)
+
+    def test_later_link_first_gets_canonical_draws(self, threads):
+        scn, mc = ScenarioConfig(N_s=1, M_r=3), McConfig(seed=5, samples=9000)
+        capacity.plan_draws(FULL_PLAN)
+        coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
+        late = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
+        capacity.release_bank()
+        fresh = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
+        fresh_coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
+        assert np.array_equal(coop._values, fresh_coop._values)
+        for bound in ("c1", "c2", "c3"):
+            assert np.array_equal(getattr(late, bound), getattr(fresh, bound))
+
+    def test_unplanned_side_raises(self, threads):
+        bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=300),
+                                    cli._DF_PLAN)
+        try:
+            bank.gram("sd", "rx")
+            with pytest.raises(LookupError, match="sd/tx"):
+                bank.gram("sd", "tx")
+            with pytest.raises(LookupError, match="rd2/rx"):
+                bank.gram("rd2", "rx")
+        finally:
+            bank.close()
+
+    @pytest.mark.parametrize("command,config,packed", [
+        ("optloc", "", ["sr/tx"]),
+        ("coverage", "", ["sr/tx", "sd/rx", "rd/rx"]),
+        ("coverage", "metric=cutset", ["sr/tx", "sd/tx", "sd/rx", "rd/rx"]),
+        ("bounds", "", ["sr/tx", "sd/tx", "sd/rx", "rd/rx"]),
+        ("coop", "", ["sr/tx", "sd/rx", "rd/rx", "rd2/rx"]),
+    ], ids=["optloc", "coverage-df", "coverage-cutset", "bounds", "coop"])
+    def test_runs_pack_only_the_sides_they_read(self, command, config, packed,
+                                                banks, tmp_path):
+        manifest = replace(
+            cli.parse_config(f"samples=400\nsweep_points=3\nangular_steps=16\n"
+                             f"{config}\n"),
+            command=command, output_path=str(tmp_path / "o.csv"))
+        assert cli.run(manifest) == 0
+        assert len(banks) == 1
+        assert sorted(f"{link}/{side}" for link, side in banks[0]._grams) == (
+            sorted(packed))
+        assert (banks[0]._reader is None) == (command == "optloc")
+
+
+class TestThreadHygiene:
+    @pytest.mark.parametrize("config,code", [
+        ("", 0), ("r_hi=0.3\n", 2), ("R_c=40\n", 3)],
+        ids=["exit-0", "exit-2-r_hi", "exit-3-R_c"])
+    def test_coop_leaves_no_thread(self, config, code, threads, banks,
+                                   tmp_path, capsys):
+        cfg = tmp_path / "coop.cfg"
+        cfg.write_text("samples=9000\nangular_steps=16\n" + config)
+        argv = ["coop", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        assert within(60, lambda: cli.main(argv)) == code
+        assert threading.active_count() == threads
+        assert len(banks) == 1 and not banks[0]._reader._worker.is_alive()
+
+    def test_replaced_bank_stops_its_worker(self, threads, banks):
+        scn = ScenarioConfig()
+        capacity.plan_draws(cli._COOP_PLAN)
+        # c3 reads sr only, so the worker still has sd, rd and rd2 to draw.
+        capacity.estimate_c3(scn, 1.0, McConfig(seed=1, samples=20000))
+        assert threading.active_count() == threads + 1
+        capacity.estimate_c3(scn, 1.0, McConfig(seed=2, samples=20000))
+        first, second = (bank._reader._worker for bank in banks)
+        assert not first.is_alive() and second.is_alive()
+        assert threading.active_count() == threads + 1
+        capacity.release_bank()
+        assert not second.is_alive()
+        assert threading.active_count() == threads
+
+    def test_worker_exception_surfaces(self, threads, monkeypatch):
+        raised = []
+
+        class Failing(np.random.Generator):
+            # Fails on the third chunk: rd's, one chunk per link.
+            def standard_normal(self, *args, **kwargs):
+                if len(raised) == 2:
+                    raised.append(RuntimeError("draw failed"))
+                    raise raised[-1]
+                raised.append(None)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        scn, mc = ScenarioConfig(), McConfig(samples=300)
+        capacity.plan_draws(cli._COOP_PLAN)
+        within(10, lambda: capacity.estimate_c3(scn, 1.0, mc))
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as err:
+                within(10, lambda: capacity.estimate_c2(scn, 1.0, 0.5, mc))
+            assert err.value is raised[2]

@@ -337,6 +337,36 @@ class TestMain:
         assert (err["error"], err["field"]) == ("io", "config")
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built a second argument parser")
+
+        with pytest.raises(SystemExit):
+            cli.main(["nope"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+        with pytest.raises(SystemExit) as exit_help:
+            cli.main(["--help"])
+        assert exit_help.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: relaycov [-h] [--config CONFIG]")
+        with pytest.raises(SystemExit) as exit_bad:
+            cli.main(["bounds", "--seed", "x"])
+        assert exit_bad.value.code == 2
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+        assert cli.main(["bounds", "--samples", "0"]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "samples"
+        # Flags given to one call do not carry over to the next.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=200\nsweep_points=2\n")
+        for argv, seed in ((["--seed", "11", "--json"], 11), ([], 42)):
+            out = tmp_path / f"{seed}.csv"
+            assert cli.main(["bounds", "--config", str(cfg), "--out", str(out),
+                             *argv]) == 0
+            assert json.loads(out.with_suffix(".meta.json").read_text())[
+                "seed"] == seed
+            assert out.with_suffix(".json").exists() == (seed == 11)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples=300\nsweep_points=4\n")
