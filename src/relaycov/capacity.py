@@ -23,11 +23,15 @@ PSI_ONE = -0.577215664901533
 # so per-sample realizations are aligned across estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 
-# Every (link, side) Gram a bank can keep, the plan of a bank built without
-# one: "tx" is H^dagger H, the source's cuts c1 and c3; "rx" is H H^dagger,
-# the destination's cut c2 and the coop sum-rate.
-_ALL_SIDES = (("sr", "tx"), ("sd", "tx"), ("sd", "rx"), ("rd", "rx"),
-              ("rd2", "rx"))
+# Each cut a bank evaluates: its Gram side ("tx" is H^dagger H, the
+# source's; "rx" is H H^dagger, the destination's), its links, and the link
+# it adds last to the cut on those links, c3's for c1 and c2's for coop.
+_CUTS = {
+    "c3": ("tx", ("sr",), None),
+    "c1": ("tx", ("sr",), "sd"),
+    "c2": ("rx", ("sd", "rd"), None),
+    "coop": ("rx", ("sd", "rd"), "rd2"),
+}
 
 # Samples per read-ahead chunk, and chunks drawn ahead that the worker may
 # hold at once: four 2x2 chunks take 1 MB.
@@ -240,17 +244,17 @@ class ChannelBank:
     Channel draws do not depend on a probe's geometry, so a bank serves
     every probe on the same antenna shapes, fading models and McConfig.
 
-    plan lists the (link, side) Grams the bank's callers read; without one
-    the bank keeps _ALL_SIDES. Each link is drawn the first time a probe
-    reads it, together with any link before it in the canonical order, so
-    the generator always draws sr, sd, rd, rd2 in turn and realizations do
-    not depend on which bound was asked for first. Only the planned sides
-    of a link are packed, and reading a side outside the plan raises
-    LookupError. The bank keeps only those per-sample Gram matrices (their
-    packed entries when that side has two antennas), the statistics its
-    log-dets build from them on first use (quadratic-form coefficient rows,
-    or one Gram's eigenvalues), the last c3 array it computed, and one
-    scratch row.
+    plan names the cuts of _CUTS the bank's callers evaluate, every cut by
+    default. Each link is drawn the first time a probe reads it, together
+    with any link before it in the canonical order, so the generator
+    always draws sr, sd, rd, rd2 in turn and realizations do not depend on
+    which bound was asked for first. Only the (link, side) Grams the
+    planned cuts read are packed, and reading another raises LookupError.
+    The bank keeps only those per-sample Gram matrices (their packed
+    entries when that side has two antennas), the statistics its log-dets
+    build from them on first use (quadratic-form coefficient rows, or one
+    Gram's eigenvalues), the last c3 array it computed, and one scratch
+    row.
 
     When a plan's links, through the last one in the canonical order, are
     two or more, one worker thread draws their standard normals from the
@@ -269,19 +273,22 @@ class ChannelBank:
     """
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig,
-                 plan: tuple[tuple[str, str], ...] | None = None):
+                 plan: tuple[str, ...] | None = None):
         self.key = _bank_key(scn, mc)
         self.scn, self.mc = scn, mc
-        self.plan = _ALL_SIDES if plan is None else tuple(plan)
-        for link, side in self.plan:
-            if link not in _LINK_ORDER or side not in ("tx", "rx"):
-                raise ValueError(f"no {link}/{side} Gram to plan")
+        self.plan = tuple(_CUTS) if plan is None else tuple(plan)
+        for cut in self.plan:
+            if cut not in _CUTS:
+                raise ValueError(f"no cut {cut!r} to plan, only {tuple(_CUTS)}")
+        self._sides = dict.fromkeys(
+            (link, side) for side, names, added in map(_CUTS.get, self.plan)
+            for link in (*names, added) if link)
         self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
         rng = np.random.Generator(np.random.Philox(
             key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
         links = _LINK_ORDER[:1 + max(_LINK_ORDER.index(link)
-                                     for link, _ in self.plan)]
+                                     for link, _ in self._sides)]
         n = mc.samples
         self._reader = None
         if plan is not None and len(links) > 1:
@@ -309,7 +316,7 @@ class ChannelBank:
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
-            sides = [side for lk, side in self.plan if lk == name]
+            sides = [side for lk, side in self._sides if lk == name]
             for start in range(0, n, step):
                 m = min(step, n - start)
                 # Unit distance: path loss is applied per probe.
@@ -341,11 +348,11 @@ class ChannelBank:
     def gram(self, link: str, side: str) -> np.ndarray:
         """Per-sample Gram statistic of a link at unit distance on one side
         ("tx" or "rx"): packed (4, n) entries when that side has two
-        antennas, else an (n, k, k) stack. LookupError when the plan does
-        not hold it."""
-        if (link, side) not in self.plan:
-            raise LookupError(f"the {link}/{side} Gram is not in this bank's "
-                              f"plan {self.plan}")
+        antennas, else an (n, k, k) stack. LookupError when no planned cut
+        reads it."""
+        if (link, side) not in self._sides:
+            raise LookupError(f"the {link}/{side} Gram is read by none of "
+                              f"this bank's planned cuts {self.plan}")
         self._draw_through(link)
         return self._grams[link, side]
 
@@ -377,27 +384,26 @@ class ChannelBank:
             self._stats[key] = stat
         return self._stats[key]
 
-    def _logdet(self, side: str, names: tuple[str, ...], a: list[float],
-                added: tuple[str, float] | None = None) -> np.ndarray:
-        """Per-sample log2 det(I + sum_k a_k G_k) over the links names with
-        powers a, then the (link, power) pair added, on one side; every cut
-        is one call.
+    def _logdet(self, cut: str, a: list[float],
+                x: float | None = None) -> np.ndarray:
+        """Per-sample log2 det(I + sum_k a_k G_k) of a cut in _CUTS, its
+        links with powers a and then its added link with power x.
 
-        With two antennas on that side the determinant is a quadratic form
-        in the powers, one dot for names and one more for added (through the
-        scratch row), so a cut with an added link extends the determinant of
-        the cut without it bit for bit. One link at another size reads its Gram's
-        eigenvalues, so the rate never rises as a_k falls; anything else is
-        Cholesky of the weighted Gram sum, summed in link order.
+        With two antennas on the cut's side the determinant is a quadratic
+        form in the powers, one dot for the links and one more for the added
+        link (through the scratch row), so a cut with an added link extends
+        the cut without it bit for bit. One link at another size reads its
+        Gram's eigenvalues, so the rate never rises as a_k falls; anything
+        else is Cholesky of the weighted Gram sum, summed in link order.
         """
+        side, names, added = _CUTS[cut]
         if self.gram(names[0], side).ndim == 2:
-            terms = [(np.array(a + [x * x for x in a] + [
-                x * y for i, x in enumerate(a) for y in a[i + 1:]]),
+            terms = [(np.array(a + [p * p for p in a] + [
+                p * q for i, p in enumerate(a) for q in a[i + 1:]]),
                 self._stat(side, names))]
             if added is not None:
-                name, x = added
                 terms.append((np.array([x, x * x] + [y * x for y in a]),
-                              self._stat(side, names, name)))
+                              self._stat(side, names, added)))
                 if self._scratch is None:
                     # Allocated on first use, after the coefficient rows, so
                     # a link they draw is never drawn while the probe holds
@@ -407,7 +413,7 @@ class ChannelBank:
         if added is None and len(names) == 1:
             return matrixkit.logdet_identity_plus_eig(
                 self._stat(side, names), a[0])
-        links = [*zip(names, a)] + ([] if added is None else [added])
+        links = [*zip(names, a)] + ([] if added is None else [(added, x)])
         M = a[0] * self.gram(names[0], side)
         for name, power in links[1:]:
             M += power * self.gram(name, side)
@@ -420,7 +426,7 @@ class ChannelBank:
         radius fixed, so its probes all share one c3 array.
         """
         if self._c3 is None or self._c3[0] != a_sr:
-            c3 = self._logdet("tx", ("sr",), [a_sr])
+            c3 = self._logdet("c3", [a_sr])
             c3.flags.writeable = False
             self._c3 = (a_sr, c3)
         return self._c3[1]
@@ -429,18 +435,18 @@ class ChannelBank:
         """Per-sample broadcast-cut rate log2 det(I + a_sr G_sr + a_sd G_sd)
         on transmit-side Grams. sd is added to c3's links, so c1 >= c3 holds
         bit for bit at two transmit antennas."""
-        return self._logdet("tx", ("sr",), [a_sr], ("sd", a_sd))
+        return self._logdet("c1", [a_sr], a_sd)
 
     def c2(self, a_sd: float, a_rd: float) -> np.ndarray:
         """Per-sample multiple-access rate log2 det(I + a_sd G_sd + a_rd G_rd)
         on receive-side Grams."""
-        return self._logdet("rx", ("sd", "rd"), [a_sd, a_rd])
+        return self._logdet("c2", [a_sd, a_rd])
 
     def coop(self, a_sd: float, a_rd: float, a_rd2: float) -> np.ndarray:
         """Per-sample cooperative sum-rate log2 det(I + a_sd G_sd +
         a_rd G_rd + a_rd2 G_rd2) on receive-side Grams. rd2 is added to c2's
         links, so a_rd2 = 0 reproduces c2 bit for bit on every route."""
-        return self._logdet("rx", ("sd", "rd"), [a_sd, a_rd], ("rd2", a_rd2))
+        return self._logdet("coop", [a_sd, a_rd], a_rd2)
 
 
 def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
@@ -454,7 +460,7 @@ def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
 # bank when its key matches and replaces it otherwise, so at most one bank
 # is alive; cli.run states a plan first and releases both on return.
 _bank: ChannelBank | None = None
-_plan: tuple[tuple[str, str], ...] | None = None
+_plan: tuple[str, ...] | None = None
 
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
@@ -469,9 +475,9 @@ def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
     return _bank
 
 
-def plan_draws(plan: tuple[tuple[str, str], ...]) -> None:
-    """Release the live bank and build the next ones with plan, the
-    (link, side) Grams the caller's probes read (see ChannelBank), until
+def plan_draws(plan: tuple[str, ...]) -> None:
+    """Release the live bank and build the next ones with plan, the cuts
+    of _CUTS the caller's probes evaluate (see ChannelBank), until
     release_bank."""
     global _plan
     release_bank()
@@ -480,7 +486,7 @@ def plan_draws(plan: tuple[tuple[str, str], ...]) -> None:
 
 def release_bank() -> None:
     """Stop and join the live bank's read-ahead worker, drop the bank and
-    the plan, so the next probe draws afresh with every link and side."""
+    the plan, so the next probe draws afresh for every cut."""
     global _bank, _plan
     if _bank is not None:
         _bank.close()

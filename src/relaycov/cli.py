@@ -4,9 +4,11 @@ a JSON metadata sidecar."""
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -303,18 +305,9 @@ def _check_link_budget(scn: ScenarioConfig,
                 f"1e{_MAX_POWER_DECADES:g} at alpha={scn.alpha}")
 
 
-# The (link, side) Grams each command's probes read: sr's source side for
-# c3 (the relay-radius solve), sd's and rd's destination side for c2, then
-# sd's source side for c1 or rd2's destination side for the coop sum-rate.
-_RELAY_PLAN = (("sr", "tx"),)
-_DF_PLAN = _RELAY_PLAN + (("sd", "rx"), ("rd", "rx"))
-_CUTSET_PLAN = _DF_PLAN + (("sd", "tx"),)
-_COOP_PLAN = _DF_PLAN + (("rd2", "rx"),)
-
-
 def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(_CUTSET_PLAN)
+    capacity.plan_draws(("c3", "c1", "c2"))
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
     stop = 1.0 if opt.sweep_stop is None else opt.sweep_stop
     grid = np.linspace(start, stop, opt.sweep_points)
@@ -350,7 +343,7 @@ def _run_bounds(manifest: RunManifest):
 
 def _run_optloc(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(_RELAY_PLAN)
+    capacity.plan_draws(("c3",))
     start = 0.25 if opt.sweep_start is None else opt.sweep_start
     stop = 2.5 if opt.sweep_stop is None else opt.sweep_stop
     radii = np.linspace(start, stop, opt.sweep_points)
@@ -389,7 +382,8 @@ def _relay_radius(manifest: RunManifest) -> tuple[float, dict]:
 
 def _run_coverage(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(_CUTSET_PLAN if opt.metric == "cutset" else _DF_PLAN)
+    capacity.plan_draws(("c3", "c1", "c2") if opt.metric == "cutset"
+                        else ("c3", "c2"))
     r_R, extras = _relay_radius(manifest)
     region = coverage.coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
@@ -446,7 +440,9 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
             "gamma": gamma,
             "power_ratio": ratio,
             "extension_factor_literal": factors.literal,
-            "coverage_gain": factors.coverage_gain_db,  # ratio^(-1/alpha)
+            # Not factors.coverage_gain, the literal ratio^(-1/B): the
+            # dB-slope gain at B = 10 alpha, ratio^(-1/alpha).
+            "coverage_gain": factors.coverage_gain_db,
             "measured_gain": r_null_coop / r_null,
         }
     }
@@ -454,7 +450,7 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
 
 def _run_coop(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(_COOP_PLAN)
+    capacity.plan_draws(("c3", "c2", "coop"))
     if opt.L < 2:
         raise ConfigError("validation", "L",
                           f"coop needs L >= 2, got {opt.L}")
@@ -497,14 +493,19 @@ _RUNNERS = {
 def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns 0 iff all requested outputs exist.
 
-    The command's runner states the (link, side) Grams its probes read
-    before the first probe, so the channel bank they share packs only
-    those and, for two or more links, draws them ahead on a worker thread.
+    Before the first probe, the command's runner names the cuts its probes
+    evaluate, so the channel bank they share packs only the Grams those
+    cuts read and, for two or more links, draws them ahead on a thread.
     The bank is released on return, however the runner exits: its worker
-    is stopped and joined, and each run pays for its own draws.
+    is stopped and joined, and each run pays for its own draws. A CSV path
+    whose directory is missing raises FileNotFoundError before the runner
+    starts.
     """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")
+    if not csv_path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                str(csv_path))
     try:
         header, rows, extras = _RUNNERS[manifest.command](manifest)
     finally:

@@ -39,7 +39,11 @@ class ExtensionFactors:
     """Coverage-extension pair: the literal distance-ratio value and its
     reciprocal coverage_gain (>= 1), exact reciprocals; and
     coverage_gain_db, the distance ratio that a Hata slope in dB per
-    decade gives."""
+    decade gives.
+
+    coverage_gain here is the literal reciprocal power_ratio^(-1/B). The
+    coop sidecar's coverage_gain is not this one but coverage_gain_db at
+    B = 10 alpha, power_ratio^(-1/alpha)."""
 
     literal: float
     coverage_gain: float
@@ -225,6 +229,11 @@ def extension_factor(K2: float, P_d: float, gamma: float,
     gain, the literal exponent 1/B being short of it by a factor of 10.
     Raises ParameterError("B", ...) when a slope this small makes
     coverage_gain_db, the largest of the gains, overflow a float.
+
+    The coop command calls this at B = 10 alpha and reports
+    coverage_gain_db, power_ratio^(-1/alpha), as its sidecar's
+    coverage_gain; the coverage_gain returned here is the literal
+    power_ratio^(-1/B).
     """
     if B <= 0:
         raise ValueError(f"B must be > 0, got {B}")

@@ -253,8 +253,11 @@ class TestC3Memo:
         capacity.release_bank()
 
 
-# Every (link, side) Gram, given as a plan: with four links it draws ahead.
-FULL_PLAN = capacity._ALL_SIDES
+# Every cut, given as a plan: with four links it draws ahead.
+FULL_PLAN = ("c3", "c1", "c2", "coop")
+# The (link, side) Grams every cut reads between them.
+ALL_GRAMS = (("sr", "tx"), ("sd", "tx"), ("sd", "rx"), ("rd", "rx"),
+             ("rd2", "rx"))
 
 
 def oracle_gram(H, side):
@@ -319,7 +322,7 @@ class TestReadAhead:
         try:
             assert bank._reader is not None
             H = oracle_links(scn, mc)
-            for link, side in FULL_PLAN:
+            for link, side in ALL_GRAMS:
                 assert np.array_equal(bank.gram(link, side),
                                       oracle_gram(H[link], side)), (link, side)
         finally:
@@ -339,7 +342,7 @@ class TestReadAhead:
             try:
                 got = within(60, lambda: {
                     (link, side): bank.gram(link, side)
-                    for link, side in FULL_PLAN})
+                    for link, side in ALL_GRAMS})
             finally:
                 bank.close()
         finally:
@@ -362,12 +365,12 @@ class TestReadAhead:
 
     def test_unplanned_side_raises(self, threads):
         bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=300),
-                                    cli._DF_PLAN)
+                                    ("c3", "c2"))
         try:
             bank.gram("sd", "rx")
-            with pytest.raises(LookupError, match="sd/tx"):
+            with pytest.raises(LookupError, match=r"sd/tx.*\('c3', 'c2'\)"):
                 bank.gram("sd", "tx")
-            with pytest.raises(LookupError, match="rd2/rx"):
+            with pytest.raises(LookupError, match=r"rd2/rx.*\('c3', 'c2'\)"):
                 bank.gram("rd2", "rx")
         finally:
             bank.close()
@@ -392,6 +395,45 @@ class TestReadAhead:
         assert (banks[0]._reader is None) == (command == "optloc")
 
 
+# Each cut's Gram side, and its links with their powers in argument order.
+CUTS = {
+    "c3": ("tx", {"sr": 0.9}),
+    "c1": ("tx", {"sr": 0.9, "sd": 1.7}),
+    "c2": ("rx", {"sd": 1.7, "rd": 2.3}),
+    "coop": ("rx", {"sd": 1.7, "rd": 2.3, "rd2": 0.4}),
+}
+
+
+class TestCutPlan:
+    @pytest.mark.parametrize("cut", sorted(CUTS))
+    @pytest.mark.parametrize("name", ["2x2", "3x3"])
+    def test_one_cut_alone(self, name, cut, threads):
+        scn = ScenarioConfig(**SCENARIOS[name])
+        mc = McConfig(seed=3, samples=capacity._CHUNK + 1)
+        side, powers = CUTS[cut]
+        bank = capacity.ChannelBank(scn, mc, (cut,))
+        try:
+            got = getattr(bank, cut)(*powers.values())
+            assert set(bank._grams) == {(link, side) for link in powers}
+        finally:
+            bank.close()
+        full = capacity.ChannelBank(scn, mc)
+        assert np.array_equal(got, getattr(full, cut)(*powers.values()))
+        # A source cut's Gram sum is B+ B for B the scaled links stacked by
+        # rows, and det(I + B+ B) = det(I + B B+).
+        H = oracle_links(scn, mc)
+        terms = [(a, H[link]) for link, a in powers.items()]
+        if side == "tx":
+            terms = [(1.0, np.concatenate(
+                [math.sqrt(a) * h for a, h in terms], axis=1))]
+        np.testing.assert_allclose(got, oracle_rate(terms), rtol=0, atol=1e-11)
+
+    def test_unknown_cut_is_named(self):
+        with pytest.raises(ValueError, match="'c4'"):
+            capacity.ChannelBank(ScenarioConfig(), McConfig(samples=10),
+                                 ("c3", "c4"))
+
+
 class TestThreadHygiene:
     @pytest.mark.parametrize("config,code", [
         ("", 0), ("r_hi=0.3\n", 2), ("R_c=40\n", 3)],
@@ -407,7 +449,7 @@ class TestThreadHygiene:
 
     def test_replaced_bank_stops_its_worker(self, threads, banks):
         scn = ScenarioConfig()
-        capacity.plan_draws(cli._COOP_PLAN)
+        capacity.plan_draws(("c3", "c2", "coop"))
         # c3 reads sr only, so the worker still has sd, rd and rd2 to draw.
         capacity.estimate_c3(scn, 1.0, McConfig(seed=1, samples=20000))
         assert threading.active_count() == threads + 1
@@ -433,7 +475,7 @@ class TestThreadHygiene:
 
         monkeypatch.setattr(np.random, "Generator", Failing)
         scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.plan_draws(cli._COOP_PLAN)
+        capacity.plan_draws(("c3", "c2", "coop"))
         within(10, lambda: capacity.estimate_c3(scn, 1.0, mc))
         for _ in range(2):
             with pytest.raises(RuntimeError) as err:

@@ -55,12 +55,17 @@ class TestParseConfig:
         assert m.scenario.fading_rd.k_factor == 0.0
 
     def test_bad_fading_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("fading_sr=nakagami\n")
-        with pytest.raises(ConfigError):
-            parse_config("fading_sr=rician:K=10\n")
-        with pytest.raises(ConfigError):
-            parse_config("fading_sr=rician:K=oops:los=poor\n")
+        # Text that does not read as the key's type is a parse error naming
+        # the key.
+        for line in ["fading_sr=nakagami", "fading_sr=rician:K=10",
+                     "fading_sr=rician:K=oops:los=poor", "fading_sr=rician:K",
+                     "fading_sr=rician:K=3:los=medium",
+                     "fading_sr=rician:K=3:los=well:phase=1", "seed=abc",
+                     "json=maybe"]:
+            with pytest.raises(ConfigError) as err:
+                parse_config(line + "\n")
+            key = line.split("=")[0]
+            assert (err.value.code, err.value.field) == ("parse", key), line
         with pytest.raises(ConfigError) as err:
             parse_config("fading_sr=rician:K=-2:los=poor\n")
         assert err.value.code == "validation"
@@ -210,14 +215,18 @@ class TestRunCoverage:
         assert all(r[1] > 0 for r in rows)
 
     def test_whole_sweep_no_solution_exits_nonzero(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("samples=200\nangular_steps=16\nrelay_radius=0.95\n"
-                       "R_c=50\n")
-        code = cli.main(["coverage", "--config", str(cfg),
-                         "--out", str(tmp_path / "c.csv")])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "no-solution"
+        # coop fails only when neither its noncooperative nor its
+        # cooperative sweep reaches the target on any ray.
+        for command, R_c in (("coverage", 50), ("coop", 12)):
+            cfg = tmp_path / "cfg"
+            cfg.write_text("samples=200\nangular_steps=16\n"
+                           f"relay_radius=0.95\nR_c={R_c}\n")
+            code = cli.main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / "c.csv")])
+            assert code == 3
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["field"]) == ("no-solution", "R_c")
+            assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestRunCoop:
@@ -314,6 +323,18 @@ class TestMain:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("validation", "samples")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_out_directory_fails_before_the_run(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "missing" / "o.csv"
+        code = cli.main(["optloc", "--samples", "500", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "io", "field": "out",
+            "message": f"[Errno 2] No such file or directory: '{out}'"}
         assert list(tmp_path.iterdir()) == []
 
     def test_out_flag_beats_the_config_key(self, tmp_path):
@@ -500,13 +521,14 @@ class TestRejectedBeforeAnyFile:
         ("coverage", "r_hi=0.5\nsamples=1000\n", "r_hi", None),
         ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi",
          None),
+        ("coop", "L=1\n", "L", None),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
             "bounds-relay-on-a-node", "coop-extension-factor-underflow",
             "coop-db-gain-overflows", "coop-has-no-cutset-metric",
             "coverage-relay-radius-overflows", "optloc-start-overflows",
             "optloc-power-overflows", "coverage-backoff-overflows",
             "optloc-bracket-too-narrow", "coverage-radius-bracket-too-narrow",
-            "coverage-ray-bracket-too-narrow"])
+            "coverage-ray-bracket-too-narrow", "coop-needs-two-relays"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
                                     command, config, key, hata_slope):
         if hata_slope is not None:
