@@ -3,6 +3,7 @@ decode-and-forward achievable rate under receiver-only CSI with equal
 transmit power per antenna, plus the high-SNR closed form."""
 
 import math
+import queue
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -167,74 +168,66 @@ def _link_models(scn: ScenarioConfig) -> dict[str, FadingModel]:
 
 class _ReadAhead:
     """Standard normals in a fixed sequence of chunk shapes, drawn ahead by
-    one worker thread into a ring of preallocated slots.
+    one worker thread into preallocated slots that two queues hand over.
 
-    The worker is the generator's only user and calls nothing but
-    Generator.standard_normal(out=...), so the chunks hold, in order, the
-    values one draw of them all would give. The main thread reads them in
-    order through standard_normal(shape), as it would read the generator;
-    a chunk's slot is handed back to the worker when the next chunk is
-    read. An exception on the worker is raised by the read that waits for
-    the chunk it failed to draw.
+    The worker takes a free slot, fills a chunk of it and queues both; a
+    read hands the previous chunk's slot back. The worker is the
+    generator's only user, so the chunks hold, in order, the values one
+    draw of them all would give; it calls only numpy and the queues, no
+    relaycov function. After the last chunk it queues an end marker, a
+    ValueError, and an exception it raises goes into the same queue: the
+    read that takes either puts it back, so every later read raises it too.
     """
 
     def __init__(self, rng: np.random.Generator,
                  shapes: list[tuple[int, ...]]):
-        self._shapes = shapes
         size = max(math.prod(shape) for shape in shapes)
-        self._slots = [np.empty(size) for _ in range(min(_SLOTS, len(shapes)))]
-        self._free = threading.Semaphore(len(self._slots))
-        self._filled = threading.Semaphore(0)
-        self._drawn = 0  # chunks the worker has filled
-        self._read = 0  # chunks the main thread has read
-        self._error: Exception | None = None
+        self._free = queue.SimpleQueue()
+        for _ in range(min(_SLOTS, len(shapes))):
+            self._free.put(np.empty(size))
+        self._filled = queue.SimpleQueue()
+        self._held = None  # the slot of the chunk read last
         self._stopping = False
-        self._worker = threading.Thread(target=self._fill, args=(rng,),
+        self._worker = threading.Thread(target=self._fill, args=(rng, shapes),
                                         name="relaycov-draws", daemon=True)
         self._worker.start()
 
-    def _chunk(self, k: int) -> np.ndarray:
-        shape = self._shapes[k]
-        slot = self._slots[k % len(self._slots)]
-        return slot[:math.prod(shape)].reshape(shape)
-
-    def _fill(self, rng: np.random.Generator) -> None:
+    def _fill(self, rng: np.random.Generator,
+              shapes: list[tuple[int, ...]]) -> None:
         try:
-            for k in range(len(self._shapes)):
-                self._free.acquire()
+            for shape in shapes:
+                slot = self._free.get()
                 if self._stopping:
                     return
-                rng.standard_normal(out=self._chunk(k))
-                self._drawn = k + 1
-                self._filled.release()
+                chunk = slot[:math.prod(shape)].reshape(shape)
+                rng.standard_normal(out=chunk)
+                self._filled.put((slot, chunk))
+            self._filled.put(ValueError(
+                f"no read-ahead chunk past the {len(shapes)} planned"))
         except Exception as exc:
-            self._error = exc
-            self._filled.release()
+            self._filled.put(exc)
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next chunk, which must have the planned shape. It stays
         valid until the next read."""
-        k = self._read
         if self._stopping:
             raise RuntimeError("read-ahead draws were stopped")
-        if k == len(self._shapes) or tuple(shape) != self._shapes[k]:
-            raise ValueError(f"read-ahead chunk {k} is not of shape {shape}")
-        if k > 0:
-            # Chunk k - 1 has been used. A read repeated after a failure
-            # releases it again, which is harmless: the worker is gone.
-            self._free.release()
-        self._filled.acquire()
-        if k == self._drawn:
-            # The worker failed on this chunk; later reads raise too.
-            self._filled.release()
-            raise self._error
-        self._read = k + 1
-        return self._chunk(k)
+        if self._held is not None:
+            self._free.put(self._held)
+            self._held = None
+        item = self._filled.get()
+        if isinstance(item, Exception):
+            self._filled.put(item)
+            raise item
+        self._held, chunk = item
+        if chunk.shape != tuple(shape):
+            raise ValueError(f"read-ahead chunk {chunk.shape} read as {shape}")
+        return chunk
 
     def close(self) -> None:
         """Stop the worker between chunks and join it."""
         self._stopping = True
-        self._free.release()  # wakes a worker waiting for a slot
+        self._free.put(None)  # wakes a worker waiting for a slot
         self._worker.join()
 
 
@@ -244,17 +237,17 @@ class ChannelBank:
     Channel draws do not depend on a probe's geometry, so a bank serves
     every probe on the same antenna shapes, fading models and McConfig.
 
-    plan names the cuts of _CUTS the bank's callers evaluate, every cut by
-    default. Each link is drawn the first time a probe reads it, together
-    with any link before it in the canonical order, so the generator
-    always draws sr, sd, rd, rd2 in turn and realizations do not depend on
-    which bound was asked for first. Only the (link, side) Grams the
-    planned cuts read are packed, and reading another raises LookupError.
-    The bank keeps only those per-sample Gram matrices (their packed
-    entries when that side has two antennas), the statistics its log-dets
-    build from them on first use (quadratic-form coefficient rows, or one
-    Gram's eigenvalues), the last c3 array it computed, and one scratch
-    row.
+    plan names one or more cuts of _CUTS that the bank's callers evaluate,
+    every cut by default; any other plan raises ValueError. Each link is
+    drawn the first time a probe reads it, with any link before it in the
+    canonical order, so the generator always draws sr, sd, rd, rd2 in turn
+    and realizations do not depend on which bound was asked for first.
+    Only the (link, side) Grams the planned cuts read are packed, and
+    reading another raises LookupError. The bank keeps only those
+    per-sample Gram matrices (their packed entries when that side has two
+    antennas), the statistics its log-dets build from them on first use
+    (quadratic-form coefficient rows, or one Gram's eigenvalues), the last
+    c3 array it computed, and one scratch row.
 
     When a plan's links, through the last one in the canonical order, are
     two or more, one worker thread draws their standard normals from the
@@ -262,7 +255,7 @@ class ChannelBank:
     and a probe packs each chunk while the next one is drawn: the values
     are those of one draw per link. A bank without a plan, or with one
     link, draws each link whole on the main thread. close() stops the
-    worker; _bank_for and release_bank close the banks they drop.
+    worker, as open_bank, _bank_for and release_bank do for banks dropped.
 
     Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
     is one call of _logdet. c1 and c3 are the source's cuts on
@@ -277,9 +270,9 @@ class ChannelBank:
         self.key = _bank_key(scn, mc)
         self.scn, self.mc = scn, mc
         self.plan = tuple(_CUTS) if plan is None else tuple(plan)
-        for cut in self.plan:
-            if cut not in _CUTS:
-                raise ValueError(f"no cut {cut!r} to plan, only {tuple(_CUTS)}")
+        if not self.plan or not set(self.plan) <= _CUTS.keys():
+            raise ValueError(f"plan {self.plan} must name one or more of the "
+                             f"cuts {tuple(_CUTS)}")
         self._sides = dict.fromkeys(
             (link, side) for side, names, added in map(_CUTS.get, self.plan)
             for link in (*names, added) if link)
@@ -291,6 +284,11 @@ class ChannelBank:
                                      for link, _ in self._sides)]
         n = mc.samples
         self._reader = None
+        # Every other draw path measured slower on a benchmark workload: a
+        # worker for every bank made optloc-scan (one link) 11 % slower
+        # in-process (wall_s +3.6 %), its link in _CHUNK chunks on this
+        # thread wall_s +7 to +25 %, whole-link chunks on the worker a
+        # default coop 8.7 %. Unplanned, a worker would draw unread links.
         if plan is not None and len(links) > 1:
             self._reader = _ReadAhead(rng, [
                 (min(_CHUNK, n - start), *self._shapes[name], 2)
@@ -456,41 +454,39 @@ def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
             scn.fading_sr, scn.fading_sd, scn.fading_rd)
 
 
-# The live bank, and the plan new banks are built with. A probe reuses the
-# bank when its key matches and replaces it otherwise, so at most one bank
-# is alive; cli.run states a plan first and releases both on return.
+# The live bank. A probe reuses it when its key matches and replaces it
+# with an unplanned bank otherwise, so at most one bank is alive; cli.run
+# opens the run's bank with its plan and releases it on return.
 _bank: ChannelBank | None = None
-_plan: tuple[str, ...] | None = None
 
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
     global _bank
     if _bank is not None and _bank.scn is scn and _bank.mc is mc:
         return _bank
-    key = _bank_key(scn, mc)
-    if _bank is None or _bank.key != key:
-        if _bank is not None:
-            _bank.close()
-        _bank = ChannelBank(scn, mc, _plan)
+    if _bank is None or _bank.key != _bank_key(scn, mc):
+        release_bank()
+        _bank = ChannelBank(scn, mc)
     return _bank
 
 
-def plan_draws(plan: tuple[str, ...]) -> None:
-    """Release the live bank and build the next ones with plan, the cuts
-    of _CUTS the caller's probes evaluate (see ChannelBank), until
-    release_bank."""
-    global _plan
+def open_bank(scn: ScenarioConfig, mc: McConfig,
+              plan: tuple[str, ...]) -> None:
+    """Release the live bank, then make a ChannelBank for scn and mc,
+    planned with the cuts of _CUTS the caller's probes evaluate, the live
+    one. A bad or empty plan raises ValueError and leaves no bank live."""
+    global _bank
     release_bank()
-    _plan = tuple(plan)
+    _bank = ChannelBank(scn, mc, plan)
 
 
 def release_bank() -> None:
-    """Stop and join the live bank's read-ahead worker, drop the bank and
-    the plan, so the next probe draws afresh for every cut."""
-    global _bank, _plan
+    """Stop and join the live bank's read-ahead worker and drop the bank,
+    so the next probe draws afresh, unplanned."""
+    global _bank
     if _bank is not None:
         _bank.close()
-    _bank = _plan = None
+    _bank = None
 
 
 def _scaled_power(scn: ScenarioConfig, power: str, name: str,

@@ -307,7 +307,7 @@ def _check_link_budget(scn: ScenarioConfig,
 
 def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(("c3", "c1", "c2"))
+    capacity.open_bank(scn, mc, ("c3", "c1", "c2"))
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
     stop = 1.0 if opt.sweep_stop is None else opt.sweep_stop
     grid = np.linspace(start, stop, opt.sweep_points)
@@ -343,7 +343,7 @@ def _run_bounds(manifest: RunManifest):
 
 def _run_optloc(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(("c3",))
+    capacity.open_bank(scn, mc, ("c3",))
     start = 0.25 if opt.sweep_start is None else opt.sweep_start
     stop = 2.5 if opt.sweep_stop is None else opt.sweep_stop
     radii = np.linspace(start, stop, opt.sweep_points)
@@ -382,8 +382,8 @@ def _relay_radius(manifest: RunManifest) -> tuple[float, dict]:
 
 def _run_coverage(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(("c3", "c1", "c2") if opt.metric == "cutset"
-                        else ("c3", "c2"))
+    capacity.open_bank(scn, mc, ("c3", "c1", "c2") if opt.metric == "cutset"
+                       else ("c3", "c2"))
     r_R, extras = _relay_radius(manifest)
     region = coverage.coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
@@ -450,7 +450,7 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
 
 def _run_coop(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.plan_draws(("c3", "c2", "coop"))
+    capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
     if opt.L < 2:
         raise ConfigError("validation", "L",
                           f"coop needs L >= 2, got {opt.L}")
@@ -493,13 +493,13 @@ _RUNNERS = {
 def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns 0 iff all requested outputs exist.
 
-    Before the first probe, the command's runner names the cuts its probes
-    evaluate, so the channel bank they share packs only the Grams those
-    cuts read and, for two or more links, draws them ahead on a thread.
-    The bank is released on return, however the runner exits: its worker
-    is stopped and joined, and each run pays for its own draws. A CSV path
-    whose directory is missing raises FileNotFoundError before the runner
-    starts.
+    Before the first probe, the command's runner opens the channel bank
+    its probes share with the cuts they evaluate (capacity.open_bank), so
+    the bank packs only the Grams those cuts read and, for two or more
+    links, draws them ahead on a thread. The bank is released on return,
+    however the runner exits: its worker is stopped and joined, and each
+    run pays for its own draws. A CSV path whose directory is missing
+    raises FileNotFoundError before the runner starts.
     """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")

@@ -353,7 +353,7 @@ class TestReadAhead:
 
     def test_later_link_first_gets_canonical_draws(self, threads):
         scn, mc = ScenarioConfig(N_s=1, M_r=3), McConfig(seed=5, samples=9000)
-        capacity.plan_draws(FULL_PLAN)
+        capacity.open_bank(scn, mc, FULL_PLAN)
         coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         late = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
         capacity.release_bank()
@@ -362,6 +362,27 @@ class TestReadAhead:
         assert np.array_equal(coop._values, fresh_coop._values)
         for bound in ("c1", "c2", "c3"):
             assert np.array_equal(getattr(late, bound), getattr(fresh, bound))
+
+    def test_read_past_the_plan_raises(self, threads):
+        rng = np.random.Generator(np.random.Philox(0))
+        reader = capacity._ReadAhead(rng, [(3, 2)] * 2)
+        try:
+            for _ in range(2):
+                chunk = within(10, lambda: reader.standard_normal((3, 2)))
+                assert chunk.shape == (3, 2)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="past the 2 planned"):
+                    within(10, lambda: reader.standard_normal((3, 2)))
+        finally:
+            reader.close()
+
+    def test_closed_bank_cannot_draw(self, threads):
+        bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=9000),
+                                    ("c3", "c2"))
+        bank.c3(1.0)
+        bank.close()
+        with pytest.raises(RuntimeError, match="stopped"):
+            within(10, lambda: bank.c2(1.0, 0.5))
 
     def test_unplanned_side_raises(self, threads):
         bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=300),
@@ -433,6 +454,21 @@ class TestCutPlan:
             capacity.ChannelBank(ScenarioConfig(), McConfig(samples=10),
                                  ("c3", "c4"))
 
+    def test_bad_plan_leaves_no_bank(self, threads):
+        scn, mc = ScenarioConfig(), McConfig(samples=300)
+        capacity.estimate_c3(scn, 1.0, mc)
+        with pytest.raises(ValueError, match="'c5'"):
+            capacity.open_bank(scn, mc, ("c3", "c5"))
+        assert capacity._bank is None
+        assert capacity.estimate_c3(scn, 1.0, mc).samples_used == 300
+
+    def test_empty_plan_is_named(self, threads):
+        scn, mc = ScenarioConfig(), McConfig(samples=10)
+        for make in (capacity.open_bank, capacity.ChannelBank):
+            with pytest.raises(ValueError, match=r"plan \(\) must name"):
+                make(scn, mc, ())
+        assert capacity._bank is None
+
 
 class TestThreadHygiene:
     @pytest.mark.parametrize("config,code", [
@@ -448,17 +484,26 @@ class TestThreadHygiene:
         assert len(banks) == 1 and not banks[0]._reader._worker.is_alive()
 
     def test_replaced_bank_stops_its_worker(self, threads, banks):
-        scn = ScenarioConfig()
-        capacity.plan_draws(("c3", "c2", "coop"))
+        scn, plan = ScenarioConfig(), ("c3", "c2", "coop")
+        mcs = [McConfig(seed=seed, samples=20000) for seed in (1, 2, 3)]
+        capacity.open_bank(scn, mcs[0], plan)
         # c3 reads sr only, so the worker still has sd, rd and rd2 to draw.
-        capacity.estimate_c3(scn, 1.0, McConfig(seed=1, samples=20000))
+        capacity.estimate_c3(scn, 1.0, mcs[0])
         assert threading.active_count() == threads + 1
-        capacity.estimate_c3(scn, 1.0, McConfig(seed=2, samples=20000))
+        capacity.open_bank(scn, mcs[1], plan)
+        capacity.estimate_c3(scn, 1.0, mcs[1])
         first, second = (bank._reader._worker for bank in banks)
         assert not first.is_alive() and second.is_alive()
         assert threading.active_count() == threads + 1
         capacity.release_bank()
         assert not second.is_alive()
+        assert threading.active_count() == threads
+        # A probe on another key replaces a planned bank with an unplanned
+        # one, which draws on the main thread.
+        capacity.open_bank(scn, mcs[0], plan)
+        capacity.estimate_c3(scn, 1.0, mcs[2])
+        assert not banks[2]._reader._worker.is_alive()
+        assert banks[3]._reader is None
         assert threading.active_count() == threads
 
     def test_worker_exception_surfaces(self, threads, monkeypatch):
@@ -475,7 +520,7 @@ class TestThreadHygiene:
 
         monkeypatch.setattr(np.random, "Generator", Failing)
         scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.plan_draws(("c3", "c2", "coop"))
+        capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
         within(10, lambda: capacity.estimate_c3(scn, 1.0, mc))
         for _ in range(2):
             with pytest.raises(RuntimeError) as err:
