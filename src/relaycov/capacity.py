@@ -77,6 +77,17 @@ class ScenarioConfig:
         for name in ("N_s", "N_r", "M_r", "M_d"):
             if getattr(self, name) < 1:
                 raise ParameterError(name, f"antenna count {name} must be >= 1")
+        # A Rician link's LOS prototype must exist at its shape; rd2 shares
+        # rd's model and shape.
+        shapes = _link_shapes(self)
+        for link in ("sr", "sd", "rd"):
+            name = f"fading_{link}"
+            model = getattr(self, name)
+            if model.k_factor > 0:
+                try:
+                    channel.resolve_los(model.los, *shapes[link])
+                except ValueError as exc:
+                    raise ParameterError(name, f"{name}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,38 @@ def _link_models(scn: ScenarioConfig) -> dict[str, FadingModel]:
             "rd": scn.fading_rd, "rd2": scn.fading_rd}
 
 
+def _philox(mc: McConfig) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
+
+
+class _LinkDraws:
+    """Unit-distance CN(0, 1) draws of every link for one McConfig and set
+    of link shapes, the key, from a Philox generator of its own keyed by
+    (seed, 0). Fading models, powers, alpha and R_c are not part of the
+    key: fading mixes in out of place (channel.apply_fading). Each link is
+    drawn whole the first time it is read, with every link before it in
+    the canonical order, so the arrays equal one draw of the links in
+    turn; each is read-only.
+    """
+
+    def __init__(self, mc: McConfig, shapes: tuple[tuple[int, int], ...]):
+        self.key = (mc, shapes)
+        self._samples = mc.samples
+        self._shapes = dict(zip(_LINK_ORDER, shapes))
+        self._rng = _philox(mc)
+        self._links: dict[str, np.ndarray] = {}
+
+    def link(self, name: str) -> np.ndarray:
+        """The (samples, rows, cols) draws of one link, read-only."""
+        for lk in _LINK_ORDER[len(self._links):_LINK_ORDER.index(name) + 1]:
+            h = matrixkit.sample_complex_gaussian_batch(
+                self._samples, *self._shapes[lk], self._rng)
+            h.flags.writeable = False
+            self._links[lk] = h
+        return self._links[name]
+
+
 class _ReadAhead:
     """Standard normals in a fixed sequence of chunk shapes, drawn ahead by
     one worker thread into preallocated slots that two queues hand over.
@@ -250,11 +293,16 @@ class ChannelBank:
     c3 array it computed, and one scratch row.
 
     When a plan's links, through the last one in the canonical order, are
-    two or more, one worker thread draws their standard normals from the
-    bank's generator ahead of the main thread, _CHUNK samples at a time,
-    and a probe packs each chunk while the next one is drawn: the values
-    are those of one draw per link. A bank without a plan, or with one
-    link, draws each link whole on the main thread. close() stops the
+    two or more, one worker thread draws their standard normals from a
+    generator of the bank's own ahead of the main thread, _CHUNK samples
+    at a time, and a probe packs each chunk while the next one is drawn:
+    the values are those of one draw per link. A bank without a plan, or
+    with one link, reads the process's stored draws for its McConfig and
+    link shapes (_draws_for), which draw each link whole on the main
+    thread the first time any bank reads it, and packs them _CHUNK
+    samples at a time, mixing in a Rician link's LOS term in a fresh
+    chunk. Either way a link's values are those of one draw per link, so
+    a bank's Grams do not depend on its draw path. close() stops the
     worker, as open_bank, _bank_for and release_bank do for banks dropped.
 
     Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
@@ -278,25 +326,24 @@ class ChannelBank:
             for link in (*names, added) if link)
         self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
         links = _LINK_ORDER[:1 + max(_LINK_ORDER.index(link)
                                      for link, _ in self._sides)]
         n = mc.samples
-        self._reader = None
+        self._reader = self._draws = None
         # Every other draw path measured slower on a benchmark workload: a
         # worker for every bank made optloc-scan (one link) 11 % slower
-        # in-process (wall_s +3.6 %), its link in _CHUNK chunks on this
-        # thread wall_s +7 to +25 %, whole-link chunks on the worker a
+        # in-process (wall_s +3.6 %), its link drawn in _CHUNK chunks on
+        # this thread wall_s +7 to +25 %, whole-link chunks on the worker a
         # default coop 8.7 %. Unplanned, a worker would draw unread links.
         if plan is not None and len(links) > 1:
-            self._reader = _ReadAhead(rng, [
+            self._reader = _ReadAhead(_philox(mc), [
                 (min(_CHUNK, n - start), *self._shapes[name], 2)
                 for name in links for start in range(0, n, _CHUNK)])
             # Stops the worker of a bank dropped without close().
             self._finalizer = weakref.finalize(self, self._reader.close)
-        self._source = self._reader or rng
-        self._drawn = 0  # links drawn so far, a prefix of _LINK_ORDER
+        else:
+            self._draws = _draws_for(scn, mc)
+        self._drawn = 0  # links packed so far, a prefix of _LINK_ORDER
         self._grams: dict[tuple[str, str], np.ndarray] = {}
         self._stats: dict[tuple, np.ndarray] = {}
         self._c3: tuple[float, np.ndarray] | None = None
@@ -310,16 +357,20 @@ class ChannelBank:
 
     def _draw_through(self, link: str) -> None:
         n = self.mc.samples
-        step = _CHUNK if self._reader else n
         stop = _LINK_ORDER.index(link) + 1
         for name in _LINK_ORDER[self._drawn:stop]:
             rows, cols = self._shapes[name]
+            model = self._models[name]
             sides = [side for lk, side in self._sides if lk == name]
-            for start in range(0, n, step):
-                m = min(step, n - start)
+            stored = None if self._reader else self._draws.link(name)
+            for start in range(0, n, _CHUNK):
+                m = min(_CHUNK, n - start)
                 # Unit distance: path loss is applied per probe.
-                H = channel.sample_link_batch(self._models[name], m, rows,
-                                              cols, self._source)
+                if stored is not None:
+                    H = channel.apply_fading(model, stored[start:start + m])
+                else:
+                    H = channel.sample_link_batch(model, m, rows, cols,
+                                                  self._reader)
                 for side in sides:
                     # The Gram of H^T is conj(H^dagger H); traces,
                     # determinants and log-dets do not change when every
@@ -459,6 +510,20 @@ def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
 # opens the run's bank with its plan and releases it on return.
 _bank: ChannelBank | None = None
 
+# The stored link draws that banks drawing on the main thread read. A bank
+# on another key replaces them, and opening a bank whose worker draws its
+# links drops them, so at most one set is alive; release_bank keeps them,
+# so the next run at the same seed, samples and shapes draws nothing.
+_draws: _LinkDraws | None = None
+
+
+def _draws_for(scn: ScenarioConfig, mc: McConfig) -> _LinkDraws:
+    global _draws
+    key = (mc, tuple(_link_shapes(scn).values()))
+    if _draws is None or _draws.key != key:
+        _draws = _LinkDraws(*key)
+    return _draws
+
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
     global _bank
@@ -474,15 +539,20 @@ def open_bank(scn: ScenarioConfig, mc: McConfig,
               plan: tuple[str, ...]) -> None:
     """Release the live bank, then make a ChannelBank for scn and mc,
     planned with the cuts of _CUTS the caller's probes evaluate, the live
-    one. A bad or empty plan raises ValueError and leaves no bank live."""
-    global _bank
+    one. A bad or empty plan raises ValueError and leaves no bank live.
+    A bank whose worker draws its links drops the stored draws, which it
+    never reads."""
+    global _bank, _draws
     release_bank()
     _bank = ChannelBank(scn, mc, plan)
+    if _bank._reader is not None:
+        _draws = None
 
 
 def release_bank() -> None:
     """Stop and join the live bank's read-ahead worker and drop the bank,
-    so the next probe draws afresh, unplanned."""
+    so the next probe builds an unplanned one. The stored link draws are
+    kept: a later bank on their key reads them instead of drawing."""
     global _bank
     if _bank is not None:
         _bank.close()

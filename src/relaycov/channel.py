@@ -135,16 +135,23 @@ def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
     The generator stream is consumed identically for every fading model,
     so different models stay draw-aligned under a common seed.
     """
-    # Built in place on the scattered draw; a real scalar times a complex
-    # entry rounds each part on its own, so this matches the out-of-place
-    # formula bit for bit.
-    h = matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng)
-    if model.k_factor > 0:
-        los = resolve_los(model.los, rows, cols)
-        k = model.k_factor
-        h *= np.sqrt(1.0 / (k + 1.0))
-        h += np.sqrt(k / (k + 1.0)) * los
-    return h
+    return apply_fading(
+        model, matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng))
+
+
+def apply_fading(model: FadingModel, h: np.ndarray) -> np.ndarray:
+    """A link's unit-distance channels from its scattered CN(0, 1) draws h,
+    shape (n, rows, cols): h itself for Rayleigh, else
+    sqrt(K/(K+1)) H_los + sqrt(1/(K+1)) h in a fresh array, so h is never
+    written and may be read-only."""
+    if model.k_factor == 0:
+        return h
+    # A real scalar times a complex entry rounds each part on its own, so
+    # this matches the formula above bit for bit, in place or not.
+    k = model.k_factor
+    out = h * np.sqrt(1.0 / (k + 1.0))
+    out += np.sqrt(k / (k + 1.0)) * resolve_los(model.los, *h.shape[1:])
+    return out
 
 
 def relay_dest_distance(r_D: float, r_R: float, phi: float) -> float:

@@ -496,10 +496,13 @@ def run(manifest: RunManifest) -> int:
     Before the first probe, the command's runner opens the channel bank
     its probes share with the cuts they evaluate (capacity.open_bank), so
     the bank packs only the Grams those cuts read and, for two or more
-    links, draws them ahead on a thread. The bank is released on return,
-    however the runner exits: its worker is stopped and joined, and each
-    run pays for its own draws. A CSV path whose directory is missing
-    raises FileNotFoundError before the runner starts.
+    links, draws them ahead on a thread; a bank of one link (optloc) reads
+    the process's stored link draws instead. The bank is released on
+    return, however the runner exits, and its worker is stopped and
+    joined. The stored draws are kept, so a later run at the same seed,
+    sample count and antenna shapes, whatever its fading models, draws
+    nothing. A CSV path whose directory is missing raises
+    FileNotFoundError before the runner starts.
     """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")

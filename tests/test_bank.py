@@ -147,7 +147,8 @@ class TestClosedForm:
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Shapes (n, rows, cols) of every Gaussian batch drawn."""
+    """Shapes (n, rows, cols) of every Gaussian batch drawn, starting with
+    no bank and no stored draws."""
     calls = []
     real = matrixkit.sample_complex_gaussian_batch
 
@@ -156,6 +157,7 @@ def draws(monkeypatch):
         return real(n, rows, cols, rng)
 
     monkeypatch.setattr(matrixkit, "sample_complex_gaussian_batch", counting)
+    monkeypatch.setattr(capacity, "_draws", None)
     capacity.release_bank()
     yield calls
     capacity.release_bank()
@@ -183,11 +185,15 @@ class TestDrawCounts:
         assert len(draws) == 3
 
     def test_each_cli_run_draws_afresh(self, draws, tmp_path):
+        # A run's stored draws outlive it: the same run again draws
+        # nothing, a run at another seed draws once.
         manifest = replace(cli.parse_config("samples=500\nsweep_points=3\n"),
                            command="optloc", output_path=str(tmp_path / "o.csv"))
         assert cli.run(manifest) == 0
         assert draws == [(500, 2, 2)]
         assert cli.run(manifest) == 0
+        assert draws == [(500, 2, 2)]
+        assert cli.run(replace(manifest, mc=McConfig(seed=7, samples=500))) == 0
         assert draws == [(500, 2, 2)] * 2
 
     def test_cutset_coverage_draws_each_link_once(self, draws, tmp_path):
@@ -198,6 +204,66 @@ class TestDrawCounts:
         out = tmp_path / "o.csv"
         assert cli.main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
         assert draws == [(400, 3, 1), (400, 2, 1), (400, 2, 2)]
+
+
+# The fading models of the benchmark's optloc scan: Rayleigh, then Rician
+# at six K factors with either LOS prototype.
+SCAN_FADINGS = ["rayleigh"] + [f"rician:K={k}:los={los}"
+                               for k in (3, 5, 7, 10, 14, 20)
+                               for los in ("poor", "well")]
+
+
+class TestLinkStore:
+    def optloc(self, tmp_path, fading, config=""):
+        """One optloc run; its CSV's bytes."""
+        out = tmp_path / "o.csv"
+        manifest = replace(
+            cli.parse_config(f"samples=500\nsweep_points=3\n"
+                             f"fading_sr={fading}\n{config}"),
+            command="optloc", output_path=str(out))
+        assert cli.run(manifest) == 0
+        return out.read_bytes()
+
+    def test_fading_scan_draws_sr_once(self, draws, tmp_path, monkeypatch):
+        stored = [self.optloc(tmp_path, fading) for fading in SCAN_FADINGS]
+        assert draws == [(500, 2, 2)]
+        for fading, csv in zip(SCAN_FADINGS, stored):
+            monkeypatch.setattr(capacity, "_draws", None)
+            assert self.optloc(tmp_path, fading) == csv, fading
+        assert len(draws) == 1 + len(SCAN_FADINGS)
+
+    @pytest.mark.parametrize("change", [
+        "seed=7", "samples=400", "N_s=1", "N_r=1", "M_r=3", "M_d=3"])
+    def test_another_key_draws_afresh(self, change, draws, tmp_path):
+        self.optloc(tmp_path, "rayleigh")
+        first = capacity._draws.key
+        self.optloc(tmp_path, "rayleigh", change + "\n")
+        assert len(draws) == 2 and capacity._draws.key != first
+
+    def test_stored_draws_are_read_only(self, draws, tmp_path):
+        self.optloc(tmp_path, "rayleigh")
+        h = capacity._draws.link("sr")
+        kept = h.copy()
+        with pytest.raises(ValueError):
+            h[0] = 0.0
+        for fading in SCAN_FADINGS[1:3]:
+            self.optloc(tmp_path, fading)
+        assert capacity._draws.link("sr") is h
+        assert np.array_equal(h, kept)
+        assert len(draws) == 1
+
+    def test_worker_bank_drops_the_store(self, draws, tmp_path):
+        scn, mc = ScenarioConfig(), McConfig(samples=300)
+        capacity.estimate_c3(scn, 1.0, mc)
+        assert capacity._draws is not None
+        capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
+        assert capacity._draws is None
+        capacity.release_bank()
+        self.optloc(tmp_path, "rayleigh")
+        manifest = replace(cli.parse_config("samples=300\nangular_steps=16\n"),
+                           command="coop", output_path=str(tmp_path / "c.csv"))
+        assert cli.run(manifest) == 0
+        assert capacity._draws is None
 
 
 @pytest.fixture
@@ -315,16 +381,21 @@ class TestReadAhead:
     @pytest.mark.parametrize("samples", [1, capacity._CHUNK - 1,
                                          capacity._CHUNK + 1, 20000])
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_planned_draws_match_oracle(self, name, samples, threads):
+    def test_planned_draws_match_oracle(self, name, samples, threads,
+                                        monkeypatch):
+        # The stored draws an unplanned bank reads give the same Grams.
+        monkeypatch.setattr(capacity, "_draws", None)
         scn = ScenarioConfig(**SCENARIOS[name])
         mc = McConfig(seed=7, samples=samples)
         bank = capacity.ChannelBank(scn, mc, FULL_PLAN)
+        stored = capacity.ChannelBank(scn, mc)
         try:
-            assert bank._reader is not None
+            assert bank._reader is not None and stored._reader is None
             H = oracle_links(scn, mc)
             for link, side in ALL_GRAMS:
-                assert np.array_equal(bank.gram(link, side),
-                                      oracle_gram(H[link], side)), (link, side)
+                want = oracle_gram(H[link], side)
+                assert np.array_equal(bank.gram(link, side), want), (link, side)
+                assert np.array_equal(stored.gram(link, side), want), (link, side)
         finally:
             bank.close()
 

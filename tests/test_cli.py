@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relaycov import cli, cooperation
 from relaycov.capacity import McConfig, ScenarioConfig
-from relaycov.channel import FadingModel, LosPrototype
+from relaycov.channel import FadingModel, LosPrototype, resolve_los
 from relaycov.cli import ConfigError, RunManifest, SweepOptions, parse_config, run
 from relaycov.coverage import SolverConfig
 
@@ -522,13 +522,26 @@ class TestRejectedBeforeAnyFile:
         ("coverage", "r_hi=0.5\nrelay_radius=0.3\nsamples=1000\n", "r_hi",
          None),
         ("coop", "L=1\n", "L", None),
+        ("optloc", "N_s=3\nM_r=3\nfading_sr=rician:K=5:los=well\n",
+         "fading_sr", None),
+        ("optloc", "N_s=3\nfading_sr=rician:K=5:los=poor\n", "fading_sr",
+         None),
+        ("coop", "N_s=3\nM_r=3\nfading_sr=rician:K=5:los=well\n",
+         "fading_sr", None),
+        ("coop", "N_s=3\nfading_sr=rician:K=5:los=poor\n", "fading_sr", None),
+        ("coop", "N_s=3\nfading_sd=rician:K=5:los=well\n", "fading_sd", None),
+        ("coop", "N_r=3\nM_d=3\nfading_rd=rician:K=5:los=well\n",
+         "fading_rd", None),
     ], ids=["optloc-start-at-zero", "optloc-grid-below-zero",
             "bounds-relay-on-a-node", "coop-extension-factor-underflow",
             "coop-db-gain-overflows", "coop-has-no-cutset-metric",
             "coverage-relay-radius-overflows", "optloc-start-overflows",
             "optloc-power-overflows", "coverage-backoff-overflows",
             "optloc-bracket-too-narrow", "coverage-radius-bracket-too-narrow",
-            "coverage-ray-bracket-too-narrow", "coop-needs-two-relays"])
+            "coverage-ray-bracket-too-narrow", "coop-needs-two-relays",
+            "optloc-no-well-los-at-3x3", "optloc-los-not-square",
+            "coop-no-well-los-at-3x3", "coop-los-not-square",
+            "coop-sd-los-not-square", "coop-rd-no-well-los-at-3x3"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
                                     command, config, key, hata_slope):
         if hata_slope is not None:
@@ -578,12 +591,28 @@ def manifests(draw):
     r_lo, r_hi = draw(POSITIVE), draw(POSITIVE)
     assume(r_lo < r_hi)
     L = draw(st.integers(1, 12))
+    # Square links often, so Rician models fit them often; a Rician model
+    # whose LOS prototype does not exist at its link's shape is invalid,
+    # and reads as Rayleigh here.
+    N_s, N_r = draw(ANTENNAS), draw(ANTENNAS)
+    M_r = draw(st.just(N_s) | ANTENNAS)
+    M_d = draw(st.just(N_s) | st.just(N_r) | ANTENNAS)
+
+    def fading(rows, cols):
+        model = draw(FADING)
+        try:
+            if model.k_factor > 0:
+                resolve_los(model.los, rows, cols)
+        except ValueError:
+            return FadingModel.rayleigh()
+        return model
+
     return RunManifest(
         scenario=ScenarioConfig(
-            P_s=draw(POSITIVE), P_r=draw(POSITIVE), N_s=draw(ANTENNAS),
-            N_r=draw(ANTENNAS), M_r=draw(ANTENNAS), M_d=draw(ANTENNAS),
-            alpha=draw(POSITIVE), fading_sr=draw(FADING),
-            fading_sd=draw(FADING), fading_rd=draw(FADING), R_c=draw(POSITIVE)),
+            P_s=draw(POSITIVE), P_r=draw(POSITIVE), N_s=N_s, N_r=N_r,
+            M_r=M_r, M_d=M_d, alpha=draw(POSITIVE),
+            fading_sr=fading(M_r, N_s), fading_sd=fading(M_d, N_s),
+            fading_rd=fading(M_d, N_r), R_c=draw(POSITIVE)),
         mc=McConfig(seed=draw(st.integers(-2**63, 2**64)),
                     samples=draw(st.integers(1, 10**6))),
         solver=SolverConfig(r_lo=r_lo, r_hi=r_hi, tol=draw(POSITIVE),
