@@ -3,9 +3,6 @@ decode-and-forward achievable rate under receiver-only CSI with equal
 transmit power per antenna, plus the high-SNR closed form."""
 
 import math
-import queue
-import threading
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,13 +17,14 @@ _LN2 = math.log(2.0)
 # digamma(1) = -(Euler-Mascheroni constant), 15 significant digits.
 PSI_ONE = -0.577215664901533
 
-# Canonical draw order. The channel bank draws link batches in this order,
-# so per-sample realizations are aligned across estimators sharing a seed.
+# Canonical draw order. The stored link draws are drawn in this order, so
+# per-sample realizations are aligned across estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 
-# Each cut a bank evaluates: its Gram side ("tx" is H^dagger H, the
-# source's; "rx" is H H^dagger, the destination's), its links, and the link
-# it adds last to the cut on those links, c3's for c1 and c2's for coop.
+# Each cut ChannelBank._logdet evaluates: its Gram side ("tx" is H^dagger
+# H, the source's; "rx" is H H^dagger, the destination's), its links, and
+# the link it adds last to the cut on those links, c3's for c1 and c2's for
+# coop.
 _CUTS = {
     "c3": ("tx", ("sr",), None),
     "c1": ("tx", ("sr",), "sd"),
@@ -34,10 +32,9 @@ _CUTS = {
     "coop": ("rx", ("sd", "rd"), "rd2"),
 }
 
-# Samples per read-ahead chunk, and chunks drawn ahead that the worker may
-# hold at once: four 2x2 chunks take 1 MB.
+# Samples per packing chunk: a Rician link's chunk is a fresh copy of its
+# stored draws, so this bounds the copy.
 _CHUNK = 4096
-_SLOTS = 4
 
 
 class ParameterError(ValueError):
@@ -185,11 +182,12 @@ def _philox(mc: McConfig) -> np.random.Generator:
 class _LinkDraws:
     """Unit-distance CN(0, 1) draws of every link for one McConfig and set
     of link shapes, the key, from a Philox generator of its own keyed by
-    (seed, 0). Fading models, powers, alpha and R_c are not part of the
-    key: fading mixes in out of place (channel.apply_fading). Each link is
-    drawn whole the first time it is read, with every link before it in
-    the canonical order, so the arrays equal one draw of the links in
-    turn; each is read-only.
+    (seed, 0): the one source of draws for every channel bank. Fading
+    models, powers, alpha and R_c are not part of the key: fading mixes in
+    out of place (channel.apply_fading). Each link is drawn whole the first
+    time it is read, with every link before it in the canonical order, so
+    the arrays equal one draw of the links in turn whatever is read first;
+    each is read-only.
     """
 
     def __init__(self, mc: McConfig, shapes: tuple[tuple[int, int], ...]):
@@ -209,101 +207,22 @@ class _LinkDraws:
         return self._links[name]
 
 
-class _ReadAhead:
-    """Standard normals in a fixed sequence of chunk shapes, drawn ahead by
-    one worker thread into preallocated slots that two queues hand over.
-
-    The worker takes a free slot, fills a chunk of it and queues both; a
-    read hands the previous chunk's slot back. The worker is the
-    generator's only user, so the chunks hold, in order, the values one
-    draw of them all would give; it calls only numpy and the queues, no
-    relaycov function. After the last chunk it queues an end marker, a
-    ValueError, and an exception it raises goes into the same queue: the
-    read that takes either puts it back, so every later read raises it too.
-    """
-
-    def __init__(self, rng: np.random.Generator,
-                 shapes: list[tuple[int, ...]]):
-        size = max(math.prod(shape) for shape in shapes)
-        self._free = queue.SimpleQueue()
-        for _ in range(min(_SLOTS, len(shapes))):
-            self._free.put(np.empty(size))
-        self._filled = queue.SimpleQueue()
-        self._held = None  # the slot of the chunk read last
-        self._stopping = False
-        self._worker = threading.Thread(target=self._fill, args=(rng, shapes),
-                                        name="relaycov-draws", daemon=True)
-        self._worker.start()
-
-    def _fill(self, rng: np.random.Generator,
-              shapes: list[tuple[int, ...]]) -> None:
-        try:
-            for shape in shapes:
-                slot = self._free.get()
-                if self._stopping:
-                    return
-                chunk = slot[:math.prod(shape)].reshape(shape)
-                rng.standard_normal(out=chunk)
-                self._filled.put((slot, chunk))
-            self._filled.put(ValueError(
-                f"no read-ahead chunk past the {len(shapes)} planned"))
-        except Exception as exc:
-            self._filled.put(exc)
-
-    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next chunk, which must have the planned shape. It stays
-        valid until the next read."""
-        if self._stopping:
-            raise RuntimeError("read-ahead draws were stopped")
-        if self._held is not None:
-            self._free.put(self._held)
-            self._held = None
-        item = self._filled.get()
-        if isinstance(item, Exception):
-            self._filled.put(item)
-            raise item
-        self._held, chunk = item
-        if chunk.shape != tuple(shape):
-            raise ValueError(f"read-ahead chunk {chunk.shape} read as {shape}")
-        return chunk
-
-    def close(self) -> None:
-        """Stop the worker between chunks and join it."""
-        self._stopping = True
-        self._free.put(None)  # wakes a worker waiting for a slot
-        self._worker.join()
-
-
 class ChannelBank:
     """Unit-distance channel statistics for one scenario and McConfig.
 
     Channel draws do not depend on a probe's geometry, so a bank serves
     every probe on the same antenna shapes, fading models and McConfig.
 
-    plan names one or more cuts of _CUTS that the bank's callers evaluate,
-    every cut by default; any other plan raises ValueError. Each link is
-    drawn the first time a probe reads it, with any link before it in the
-    canonical order, so the generator always draws sr, sd, rd, rd2 in turn
-    and realizations do not depend on which bound was asked for first.
-    Only the (link, side) Grams the planned cuts read are packed, and
-    reading another raises LookupError. The bank keeps only those
-    per-sample Gram matrices (their packed entries when that side has two
-    antennas), the statistics its log-dets build from them on first use
+    A bank reads the process's stored link draws for its McConfig and link
+    shapes (_draws_for), which draw sr, sd, rd, rd2 in turn, so
+    realizations do not depend on which bound was asked for first. A
+    (link, side) Gram is packed from them the first time a cut reads it,
+    _CHUNK samples at a time, mixing in a Rician link's LOS term in a fresh
+    chunk, so a bank packs only the Grams its probes read. The bank keeps
+    those per-sample Gram matrices (their packed entries when that side has
+    two antennas), the statistics its log-dets build from them on first use
     (quadratic-form coefficient rows, or one Gram's eigenvalues), the last
     c3 array it computed, and one scratch row.
-
-    When a plan's links, through the last one in the canonical order, are
-    two or more, one worker thread draws their standard normals from a
-    generator of the bank's own ahead of the main thread, _CHUNK samples
-    at a time, and a probe packs each chunk while the next one is drawn:
-    the values are those of one draw per link. A bank without a plan, or
-    with one link, reads the process's stored draws for its McConfig and
-    link shapes (_draws_for), which draw each link whole on the main
-    thread the first time any bank reads it, and packs them _CHUNK
-    samples at a time, mixing in a Rician link's LOS term in a fresh
-    chunk. Either way a link's values are those of one draw per link, so
-    a bank's Grams do not depend on its draw path. close() stops the
-    worker, as open_bank, _bank_for and release_bank do for banks dropped.
 
     Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
     is one call of _logdet. c1 and c3 are the source's cuts on
@@ -313,97 +232,48 @@ class ChannelBank:
     read-only memo.
     """
 
-    def __init__(self, scn: ScenarioConfig, mc: McConfig,
-                 plan: tuple[str, ...] | None = None):
+    def __init__(self, scn: ScenarioConfig, mc: McConfig):
         self.key = _bank_key(scn, mc)
         self.scn, self.mc = scn, mc
-        self.plan = tuple(_CUTS) if plan is None else tuple(plan)
-        if not self.plan or not set(self.plan) <= _CUTS.keys():
-            raise ValueError(f"plan {self.plan} must name one or more of the "
-                             f"cuts {tuple(_CUTS)}")
-        self._sides = dict.fromkeys(
-            (link, side) for side, names, added in map(_CUTS.get, self.plan)
-            for link in (*names, added) if link)
-        self._shapes = _link_shapes(scn)
         self._models = _link_models(scn)
-        links = _LINK_ORDER[:1 + max(_LINK_ORDER.index(link)
-                                     for link, _ in self._sides)]
-        n = mc.samples
-        self._reader = self._draws = None
-        # Every other draw path measured slower on a benchmark workload: a
-        # worker for every bank made optloc-scan (one link) 11 % slower
-        # in-process (wall_s +3.6 %), its link drawn in _CHUNK chunks on
-        # this thread wall_s +7 to +25 %, whole-link chunks on the worker a
-        # default coop 8.7 %. Unplanned, a worker would draw unread links.
-        if plan is not None and len(links) > 1:
-            self._reader = _ReadAhead(_philox(mc), [
-                (min(_CHUNK, n - start), *self._shapes[name], 2)
-                for name in links for start in range(0, n, _CHUNK)])
-            # Stops the worker of a bank dropped without close().
-            self._finalizer = weakref.finalize(self, self._reader.close)
-        else:
-            self._draws = _draws_for(scn, mc)
-        self._drawn = 0  # links packed so far, a prefix of _LINK_ORDER
+        self._draws = _draws_for(scn, mc)
         self._grams: dict[tuple[str, str], np.ndarray] = {}
         self._stats: dict[tuple, np.ndarray] = {}
         self._c3: tuple[float, np.ndarray] | None = None
         self._scratch: np.ndarray | None = None
 
-    def close(self) -> None:
-        """Stop and join the read-ahead worker, if any; links it has not
-        handed over can no longer be read."""
-        if self._reader is not None:
-            self._finalizer()
-
-    def _draw_through(self, link: str) -> None:
-        n = self.mc.samples
-        stop = _LINK_ORDER.index(link) + 1
-        for name in _LINK_ORDER[self._drawn:stop]:
-            rows, cols = self._shapes[name]
-            model = self._models[name]
-            sides = [side for lk, side in self._sides if lk == name]
-            stored = None if self._reader else self._draws.link(name)
-            for start in range(0, n, _CHUNK):
-                m = min(_CHUNK, n - start)
-                # Unit distance: path loss is applied per probe.
-                if stored is not None:
-                    H = channel.apply_fading(model, stored[start:start + m])
-                else:
-                    H = channel.sample_link_batch(model, m, rows, cols,
-                                                  self._reader)
-                for side in sides:
-                    # The Gram of H^T is conj(H^dagger H); traces,
-                    # determinants and log-dets do not change when every
-                    # Gram is conjugated.
-                    M = H if side == "rx" else np.swapaxes(H, -1, -2)
-                    G = (matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
-                         else matrixkit.gram(M))
-                    if m == n:
-                        self._grams[name, side] = G
-                        continue
-                    # Packed (4, m) entries hold samples last, (m, k, k)
-                    # stacks first.
-                    if start == 0:
-                        self._grams[name, side] = np.empty(
-                            (len(G), n) if G.ndim == 2 else (n, *G.shape[1:]),
-                            G.dtype)
-                    full = self._grams[name, side]
-                    if G.ndim == 2:
-                        full[:, start:start + m] = G
-                    else:
-                        full[start:start + m] = G
-            self._drawn += 1
-
     def gram(self, link: str, side: str) -> np.ndarray:
         """Per-sample Gram statistic of a link at unit distance on one side
-        ("tx" or "rx"): packed (4, n) entries when that side has two
-        antennas, else an (n, k, k) stack. LookupError when no planned cut
-        reads it."""
-        if (link, side) not in self._sides:
-            raise LookupError(f"the {link}/{side} Gram is read by none of "
-                              f"this bank's planned cuts {self.plan}")
-        self._draw_through(link)
+        ("tx" or "rx"), packed on first read: packed (4, n) entries when
+        that side has two antennas, else an (n, k, k) stack."""
+        if (link, side) not in self._grams:
+            # Kept only once whole, so an interrupted packing leaves nothing.
+            self._grams[link, side] = self._pack(link, side)
         return self._grams[link, side]
+
+    def _pack(self, link: str, side: str) -> np.ndarray:
+        n = self.mc.samples
+        stored = self._draws.link(link)
+        for start in range(0, n, _CHUNK):
+            # Unit distance: path loss is applied per probe.
+            H = channel.apply_fading(self._models[link],
+                                     stored[start:start + _CHUNK])
+            # The Gram of H^T is conj(H^dagger H); traces, determinants and
+            # log-dets do not change when every Gram is conjugated.
+            M = H if side == "rx" else np.swapaxes(H, -1, -2)
+            G = (matrixkit.gram_entries_2x2(M) if M.shape[-2] == 2
+                 else matrixkit.gram(M))
+            if len(H) == n:
+                return G
+            # Packed (4, m) entries hold samples last, (m, k, k) stacks first.
+            if start == 0:
+                full = np.empty((len(G), n) if G.ndim == 2
+                                else (n, *G.shape[1:]), G.dtype)
+            if G.ndim == 2:
+                full[:, start:start + len(H)] = G
+            else:
+                full[start:start + len(H)] = G
+        return full
 
     def _stat(self, side: str, names: tuple[str, ...],
               added: str | None = None) -> np.ndarray:
@@ -505,15 +375,14 @@ def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
             scn.fading_sr, scn.fading_sd, scn.fading_rd)
 
 
-# The live bank. A probe reuses it when its key matches and replaces it
-# with an unplanned bank otherwise, so at most one bank is alive; cli.run
-# opens the run's bank with its plan and releases it on return.
+# The live bank, a cache: a probe reuses it when its key matches and
+# replaces it otherwise, so at most one bank is alive.
 _bank: ChannelBank | None = None
 
-# The stored link draws that banks drawing on the main thread read. A bank
-# on another key replaces them, and opening a bank whose worker draws its
-# links drops them, so at most one set is alive; release_bank keeps them,
-# so the next run at the same seed, samples and shapes draws nothing.
+# The stored link draws every bank reads. A bank on another McConfig or set
+# of link shapes replaces them, so at most one set is alive, and they
+# outlive a run: the next run at the same seed, samples and shapes draws
+# nothing.
 _draws: _LinkDraws | None = None
 
 
@@ -530,33 +399,8 @@ def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
     if _bank is not None and _bank.scn is scn and _bank.mc is mc:
         return _bank
     if _bank is None or _bank.key != _bank_key(scn, mc):
-        release_bank()
         _bank = ChannelBank(scn, mc)
     return _bank
-
-
-def open_bank(scn: ScenarioConfig, mc: McConfig,
-              plan: tuple[str, ...]) -> None:
-    """Release the live bank, then make a ChannelBank for scn and mc,
-    planned with the cuts of _CUTS the caller's probes evaluate, the live
-    one. A bad or empty plan raises ValueError and leaves no bank live.
-    A bank whose worker draws its links drops the stored draws, which it
-    never reads."""
-    global _bank, _draws
-    release_bank()
-    _bank = ChannelBank(scn, mc, plan)
-    if _bank._reader is not None:
-        _draws = None
-
-
-def release_bank() -> None:
-    """Stop and join the live bank's read-ahead worker and drop the bank,
-    so the next probe builds an unplanned one. The stored link draws are
-    kept: a later bank on their key reads them instead of drawing."""
-    global _bank
-    if _bank is not None:
-        _bank.close()
-    _bank = None
 
 
 def _scaled_power(scn: ScenarioConfig, power: str, name: str,

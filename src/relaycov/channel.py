@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixkit
-
 HADAMARD_SIZES = (2, 4, 8)
 
 # Relay-destination separations are floored here so a destination sitting
@@ -125,25 +123,12 @@ def resolve_los(proto: LosPrototype, rows: int, cols: int) -> np.ndarray:
     return _hadamard(rows).astype(np.complex128)
 
 
-def sample_link_batch(model: FadingModel, n: int, rows: int, cols: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draw n unit-distance channel matrices for one link, shape
-    (n, rows, cols).
-
-    Each draw is sqrt(K/(K+1)) H_los + sqrt(1/(K+1)) H_nlos with H_nlos
-    fresh i.i.d. CN(0, 1); Rayleigh (K = 0) keeps only the scattered term.
-    The generator stream is consumed identically for every fading model,
-    so different models stay draw-aligned under a common seed.
-    """
-    return apply_fading(
-        model, matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng))
-
-
 def apply_fading(model: FadingModel, h: np.ndarray) -> np.ndarray:
     """A link's unit-distance channels from its scattered CN(0, 1) draws h,
     shape (n, rows, cols): h itself for Rayleigh, else
     sqrt(K/(K+1)) H_los + sqrt(1/(K+1)) h in a fresh array, so h is never
-    written and may be read-only."""
+    written and may be read-only. The draws do not depend on the model, so
+    different models stay draw-aligned under a common seed."""
     if model.k_factor == 0:
         return h
     # A real scalar times a complex entry rounds each part on its own, so

@@ -307,7 +307,6 @@ def _check_link_budget(scn: ScenarioConfig,
 
 def _run_bounds(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.open_bank(scn, mc, ("c3", "c1", "c2"))
     start = 0.0 if opt.sweep_start is None else opt.sweep_start
     stop = 1.0 if opt.sweep_stop is None else opt.sweep_stop
     grid = np.linspace(start, stop, opt.sweep_points)
@@ -343,7 +342,6 @@ def _run_bounds(manifest: RunManifest):
 
 def _run_optloc(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.open_bank(scn, mc, ("c3",))
     start = 0.25 if opt.sweep_start is None else opt.sweep_start
     stop = 2.5 if opt.sweep_stop is None else opt.sweep_stop
     radii = np.linspace(start, stop, opt.sweep_points)
@@ -382,8 +380,6 @@ def _relay_radius(manifest: RunManifest) -> tuple[float, dict]:
 
 def _run_coverage(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.open_bank(scn, mc, ("c3", "c1", "c2") if opt.metric == "cutset"
-                       else ("c3", "c2"))
     r_R, extras = _relay_radius(manifest)
     region = coverage.coverage_boundary(
         scn, r_R, opt.L, opt.angular_steps, mc, manifest.solver,
@@ -450,7 +446,6 @@ def _extension_report(manifest: RunManifest, r_R: float, noncoop,
 
 def _run_coop(manifest: RunManifest):
     scn, mc, opt = manifest.scenario, manifest.mc, manifest.options
-    capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
     if opt.L < 2:
         raise ConfigError("validation", "L",
                           f"coop needs L >= 2, got {opt.L}")
@@ -493,15 +488,12 @@ _RUNNERS = {
 def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns 0 iff all requested outputs exist.
 
-    Before the first probe, the command's runner opens the channel bank
-    its probes share with the cuts they evaluate (capacity.open_bank), so
-    the bank packs only the Grams those cuts read and, for two or more
-    links, draws them ahead on a thread; a bank of one link (optloc) reads
-    the process's stored link draws instead. The bank is released on
-    return, however the runner exits, and its worker is stopped and
-    joined. The stored draws are kept, so a later run at the same seed,
-    sample count and antenna shapes, whatever its fading models, draws
-    nothing. A CSV path whose directory is missing raises
+    The run's probes share one channel bank, built by the first of them
+    (capacity._bank_for), so a run that exits before its first probe
+    builds no bank and draws nothing. The bank packs each Gram its cuts
+    read from the process's stored link draws, on this thread. The stored
+    draws outlive the run, so a later run at the same seed, sample count
+    and antenna shapes, whatever its fading models, draws nothing. A CSV path whose directory is missing raises
     FileNotFoundError before the runner starts.
     """
     t0 = time.perf_counter()
@@ -509,10 +501,7 @@ def run(manifest: RunManifest) -> int:
     if not csv_path.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                 str(csv_path))
-    try:
-        header, rows, extras = _RUNNERS[manifest.command](manifest)
-    finally:
-        capacity.release_bank()
+    header, rows, extras = _RUNNERS[manifest.command](manifest)
     _write_csv(csv_path, header, rows)
     if manifest.emit_json:
         _write_dataset_json(csv_path, header, rows)

@@ -1,8 +1,8 @@
 """Channel bank: brute-force oracles for the cached statistics, the 2x2
 quadratic form against the Cholesky route, the c3 memo, and draw counts."""
 
+import json
 import math
-import sys
 import threading
 from dataclasses import replace
 
@@ -93,14 +93,14 @@ class TestOracle:
             np.testing.assert_allclose(got[bound], values, rtol=0, atol=1e-11,
                                        err_msg=bound)
 
-    def test_request_order_does_not_change_draws(self):
+    def test_request_order_does_not_change_draws(self, monkeypatch):
         scn = ScenarioConfig(N_s=3, M_r=3)
         mc = McConfig(seed=5, samples=300)
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_bank", None)
         coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         c3 = capacity.estimate_c3(scn, 0.9, mc)._values
         late = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_bank", None)
         fresh = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
         fresh_coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         assert np.array_equal(c3, fresh.c3)
@@ -124,8 +124,9 @@ class TestClosedForm:
     def test_matches_cholesky_per_sample(self, model):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([3, 0], dtype=np.uint64)))
-        H1, H2 = (channel.sample_link_batch(model, 5000, 2, 2, rng)
-                  for _ in range(2))
+        H1, H2 = (channel.apply_fading(
+            model, matrixkit.sample_complex_gaussian_batch(5000, 2, 2, rng))
+            for _ in range(2))
         G1, G2 = matrixkit.gram(H1), matrixkit.gram(H2)
         T = quadratic_rows(matrixkit.gram_entries_2x2(H1),
                            matrixkit.gram_entries_2x2(H2))
@@ -158,9 +159,8 @@ def draws(monkeypatch):
 
     monkeypatch.setattr(matrixkit, "sample_complex_gaussian_batch", counting)
     monkeypatch.setattr(capacity, "_draws", None)
-    capacity.release_bank()
-    yield calls
-    capacity.release_bank()
+    monkeypatch.setattr(capacity, "_bank", None)
+    return calls
 
 
 class TestDrawCounts:
@@ -252,18 +252,24 @@ class TestLinkStore:
         assert np.array_equal(h, kept)
         assert len(draws) == 1
 
-    def test_worker_bank_drops_the_store(self, draws, tmp_path):
-        scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.estimate_c3(scn, 1.0, mc)
-        assert capacity._draws is not None
-        capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
-        assert capacity._draws is None
-        capacity.release_bank()
-        self.optloc(tmp_path, "rayleigh")
-        manifest = replace(cli.parse_config("samples=300\nangular_steps=16\n"),
-                           command="coop", output_path=str(tmp_path / "c.csv"))
-        assert cli.run(manifest) == 0
-        assert capacity._draws is None
+    def test_commands_share_one_draw_of_each_link(self, draws, tmp_path,
+                                                  monkeypatch):
+        # Distinct link shapes: sr (3, 1), sd (2, 1), rd and rd2 (2, 2).
+        config = cli.parse_config("samples=400\nN_s=1\nM_r=3\nR_c=3.0\n"
+                                  "angular_steps=16\nsweep_points=3\n")
+
+        def run(command):
+            out = tmp_path / f"{command}.csv"
+            assert cli.run(replace(config, command=command,
+                                   output_path=str(out))) == 0
+            return out.read_bytes()
+
+        commands = ("coop", "coverage", "bounds")
+        shared = [run(command) for command in commands]
+        assert draws == [(400, 3, 1), (400, 2, 1), (400, 2, 2), (400, 2, 2)]
+        for command, csv in zip(commands, shared):
+            monkeypatch.setattr(capacity, "_draws", None)
+            assert run(command) == csv, command
 
 
 @pytest.fixture
@@ -286,9 +292,8 @@ def c3_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(matrixkit, "logdet_quadratic_2x2", counting_quadratic)
     monkeypatch.setattr(matrixkit, "logdet_identity_plus_eig", counting_eig)
-    capacity.release_bank()
-    yield calls
-    capacity.release_bank()
+    monkeypatch.setattr(capacity, "_bank", None)
+    return calls
 
 
 class TestC3Memo:
@@ -304,9 +309,9 @@ class TestC3Memo:
         capacity.estimate_c3(scn, 0.95, mc)
         assert c3_kernel_calls == [size] * 3
 
-    def test_handed_out_c3_is_read_only(self):
+    def test_handed_out_c3_is_read_only(self, monkeypatch):
         scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_bank", None)
         c3 = capacity.estimate_c3(scn, 0.9, mc)._values
         kept = c3.copy()
         s = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
@@ -316,11 +321,8 @@ class TestC3Memo:
             with pytest.raises(ValueError):
                 arr += 1.0
         assert np.array_equal(capacity.estimate_c3(scn, 0.9, mc)._values, kept)
-        capacity.release_bank()
 
 
-# Every cut, given as a plan: with four links it draws ahead.
-FULL_PLAN = ("c3", "c1", "c2", "coop")
 # The (link, side) Grams every cut reads between them.
 ALL_GRAMS = (("sr", "tx"), ("sd", "tx"), ("sd", "rx"), ("rd", "rx"),
              ("rd2", "rx"))
@@ -332,30 +334,9 @@ def oracle_gram(H, side):
             else matrixkit.gram(M))
 
 
-def within(seconds, fn):
-    """fn() run on a helper thread, which must finish within seconds; its
-    result is returned and its exception raised here. The thread is a
-    daemon, so a call that hangs fails the test without blocking exit."""
-    box = {}
-
-    def call():
-        try:
-            box["result"] = fn()
-        except Exception as exc:
-            box["error"] = exc
-
-    helper = threading.Thread(target=call, daemon=True)
-    helper.start()
-    helper.join(seconds)
-    assert not helper.is_alive(), f"no result within {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
-
-
 @pytest.fixture
 def banks(monkeypatch):
-    """Every channel bank built while the test runs."""
+    """Every channel bank built while the test runs, starting with none."""
     built = []
 
     class Recording(capacity.ChannelBank):
@@ -364,108 +345,65 @@ def banks(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(capacity, "ChannelBank", Recording)
+    monkeypatch.setattr(capacity, "_bank", None)
     return built
 
 
-@pytest.fixture
-def threads():
-    """The thread count before the test, which it must end at."""
-    capacity.release_bank()
-    baseline = threading.active_count()
-    yield baseline
-    capacity.release_bank()
-    assert threading.active_count() == baseline
-
-
 class TestReadAhead:
+    # Grams packed from the stored draws on first read, whole or in
+    # _CHUNK-sample pieces.
     @pytest.mark.parametrize("samples", [1, capacity._CHUNK - 1,
                                          capacity._CHUNK + 1, 20000])
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_planned_draws_match_oracle(self, name, samples, threads,
-                                        monkeypatch):
-        # The stored draws an unplanned bank reads give the same Grams.
-        monkeypatch.setattr(capacity, "_draws", None)
+    def test_planned_draws_match_oracle(self, name, samples, draws):
         scn = ScenarioConfig(**SCENARIOS[name])
         mc = McConfig(seed=7, samples=samples)
-        bank = capacity.ChannelBank(scn, mc, FULL_PLAN)
-        stored = capacity.ChannelBank(scn, mc)
-        try:
-            assert bank._reader is not None and stored._reader is None
-            H = oracle_links(scn, mc)
-            for link, side in ALL_GRAMS:
-                want = oracle_gram(H[link], side)
-                assert np.array_equal(bank.gram(link, side), want), (link, side)
-                assert np.array_equal(stored.gram(link, side), want), (link, side)
-        finally:
-            bank.close()
-
-    def test_tiny_chunks_under_fast_switching(self, threads, monkeypatch):
-        # Hundreds of slot handoffs per link through a two-slot ring: a slot
-        # handed back too early would be overwritten before it is packed.
-        monkeypatch.setattr(capacity, "_CHUNK", 7)
-        monkeypatch.setattr(capacity, "_SLOTS", 2)
-        scn = ScenarioConfig(**SCENARIOS["Ns3-Md2"])
-        mc = McConfig(seed=11, samples=3000)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            bank = capacity.ChannelBank(scn, mc, FULL_PLAN)
-            try:
-                got = within(60, lambda: {
-                    (link, side): bank.gram(link, side)
-                    for link, side in ALL_GRAMS})
-            finally:
-                bank.close()
-        finally:
-            sys.setswitchinterval(interval)
+        bank = capacity.ChannelBank(scn, mc)
         H = oracle_links(scn, mc)
-        for (link, side), gram in got.items():
-            assert np.array_equal(gram, oracle_gram(H[link], side)), (link, side)
+        for link, side in ALL_GRAMS:
+            want = oracle_gram(H[link], side)
+            assert np.array_equal(bank.gram(link, side), want), (link, side)
+        # Another bank on the same key packs the same Grams from the same
+        # stored draws.
+        again = capacity.ChannelBank(scn, mc)
+        for link, side in ALL_GRAMS:
+            assert np.array_equal(again.gram(link, side),
+                                  bank.gram(link, side)), (link, side)
+        assert len(draws) == 4
 
-    def test_later_link_first_gets_canonical_draws(self, threads):
+    def test_interrupted_packing_keeps_no_gram(self, draws, monkeypatch):
+        scn, mc = ScenarioConfig(), McConfig(seed=7, samples=capacity._CHUNK + 1)
+        bank = capacity.ChannelBank(scn, mc)
+        pack = matrixkit.gram_entries_2x2
+        chunks = []
+
+        def failing(M):
+            chunks.append(len(M))
+            if len(chunks) == 2:
+                raise KeyboardInterrupt
+            return pack(M)
+
+        monkeypatch.setattr(matrixkit, "gram_entries_2x2", failing)
+        with pytest.raises(KeyboardInterrupt):
+            bank.gram("sr", "tx")
+        assert chunks == [capacity._CHUNK, 1] and bank._grams == {}
+        monkeypatch.setattr(matrixkit, "gram_entries_2x2", pack)
+        want = oracle_gram(oracle_links(scn, mc)["sr"], "tx")
+        assert np.array_equal(bank.gram("sr", "tx"), want)
+        assert len(draws) == 1
+
+    def test_later_link_first_gets_canonical_draws(self, draws, monkeypatch):
         scn, mc = ScenarioConfig(N_s=1, M_r=3), McConfig(seed=5, samples=9000)
-        capacity.open_bank(scn, mc, FULL_PLAN)
         coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         late = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_draws", None)
+        monkeypatch.setattr(capacity, "_bank", None)
         fresh = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
         fresh_coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         assert np.array_equal(coop._values, fresh_coop._values)
         for bound in ("c1", "c2", "c3"):
             assert np.array_equal(getattr(late, bound), getattr(fresh, bound))
-
-    def test_read_past_the_plan_raises(self, threads):
-        rng = np.random.Generator(np.random.Philox(0))
-        reader = capacity._ReadAhead(rng, [(3, 2)] * 2)
-        try:
-            for _ in range(2):
-                chunk = within(10, lambda: reader.standard_normal((3, 2)))
-                assert chunk.shape == (3, 2)
-            for _ in range(2):
-                with pytest.raises(ValueError, match="past the 2 planned"):
-                    within(10, lambda: reader.standard_normal((3, 2)))
-        finally:
-            reader.close()
-
-    def test_closed_bank_cannot_draw(self, threads):
-        bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=9000),
-                                    ("c3", "c2"))
-        bank.c3(1.0)
-        bank.close()
-        with pytest.raises(RuntimeError, match="stopped"):
-            within(10, lambda: bank.c2(1.0, 0.5))
-
-    def test_unplanned_side_raises(self, threads):
-        bank = capacity.ChannelBank(ScenarioConfig(), McConfig(samples=300),
-                                    ("c3", "c2"))
-        try:
-            bank.gram("sd", "rx")
-            with pytest.raises(LookupError, match=r"sd/tx.*\('c3', 'c2'\)"):
-                bank.gram("sd", "tx")
-            with pytest.raises(LookupError, match=r"rd2/rx.*\('c3', 'c2'\)"):
-                bank.gram("rd2", "rx")
-        finally:
-            bank.close()
+        assert len(draws) == 8
 
     @pytest.mark.parametrize("command,config,packed", [
         ("optloc", "", ["sr/tx"]),
@@ -484,7 +422,6 @@ class TestReadAhead:
         assert len(banks) == 1
         assert sorted(f"{link}/{side}" for link, side in banks[0]._grams) == (
             sorted(packed))
-        assert (banks[0]._reader is None) == (command == "optloc")
 
 
 # Each cut's Gram side, and its links with their powers in argument order.
@@ -499,17 +436,17 @@ CUTS = {
 class TestCutPlan:
     @pytest.mark.parametrize("cut", sorted(CUTS))
     @pytest.mark.parametrize("name", ["2x2", "3x3"])
-    def test_one_cut_alone(self, name, cut, threads):
+    def test_one_cut_alone(self, name, cut, draws):
         scn = ScenarioConfig(**SCENARIOS[name])
         mc = McConfig(seed=3, samples=capacity._CHUNK + 1)
         side, powers = CUTS[cut]
-        bank = capacity.ChannelBank(scn, mc, (cut,))
-        try:
-            got = getattr(bank, cut)(*powers.values())
-            assert set(bank._grams) == {(link, side) for link in powers}
-        finally:
-            bank.close()
+        bank = capacity.ChannelBank(scn, mc)
+        got = getattr(bank, cut)(*powers.values())
+        assert set(bank._grams) == {(link, side) for link in powers}
+        # A bank that packed every cut's Grams first gives the same values.
         full = capacity.ChannelBank(scn, mc)
+        for other, (_, other_powers) in CUTS.items():
+            getattr(full, other)(*other_powers.values())
         assert np.array_equal(got, getattr(full, cut)(*powers.values()))
         # A source cut's Gram sum is B+ B for B the scaled links stacked by
         # rows, and det(I + B+ B) = det(I + B B+).
@@ -520,80 +457,43 @@ class TestCutPlan:
                 [math.sqrt(a) * h for a, h in terms], axis=1))]
         np.testing.assert_allclose(got, oracle_rate(terms), rtol=0, atol=1e-11)
 
-    def test_unknown_cut_is_named(self):
-        with pytest.raises(ValueError, match="'c4'"):
-            capacity.ChannelBank(ScenarioConfig(), McConfig(samples=10),
-                                 ("c3", "c4"))
-
-    def test_bad_plan_leaves_no_bank(self, threads):
-        scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.estimate_c3(scn, 1.0, mc)
-        with pytest.raises(ValueError, match="'c5'"):
-            capacity.open_bank(scn, mc, ("c3", "c5"))
-        assert capacity._bank is None
-        assert capacity.estimate_c3(scn, 1.0, mc).samples_used == 300
-
-    def test_empty_plan_is_named(self, threads):
-        scn, mc = ScenarioConfig(), McConfig(samples=10)
-        for make in (capacity.open_bank, capacity.ChannelBank):
-            with pytest.raises(ValueError, match=r"plan \(\) must name"):
-                make(scn, mc, ())
-        assert capacity._bank is None
-
 
 class TestThreadHygiene:
     @pytest.mark.parametrize("config,code", [
         ("", 0), ("r_hi=0.3\n", 2), ("R_c=40\n", 3)],
         ids=["exit-0", "exit-2-r_hi", "exit-3-R_c"])
-    def test_coop_leaves_no_thread(self, config, code, threads, banks,
-                                   tmp_path, capsys):
+    def test_coop_leaves_no_thread(self, config, code, banks, draws,
+                                   monkeypatch, tmp_path, capsys):
+        # Every draw runs on this thread, with no other thread started.
+        baseline = threading.active_count()
+        seen = []
+        draw = matrixkit.sample_complex_gaussian_batch
+
+        def recording(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return draw(*args)
+
+        monkeypatch.setattr(matrixkit, "sample_complex_gaussian_batch", recording)
         cfg = tmp_path / "coop.cfg"
         cfg.write_text("samples=9000\nangular_steps=16\n" + config)
         argv = ["coop", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
-        assert within(60, lambda: cli.main(argv)) == code
-        assert threading.active_count() == threads
-        assert len(banks) == 1 and not banks[0]._reader._worker.is_alive()
+        assert cli.main(argv) == code
+        assert threading.active_count() == baseline
+        assert draws and len(seen) == len(draws)
+        assert all(thread is threading.main_thread() and count == baseline
+                   for thread, count in seen)
+        assert len(banks) == 1
 
-    def test_replaced_bank_stops_its_worker(self, threads, banks):
-        scn, plan = ScenarioConfig(), ("c3", "c2", "coop")
-        mcs = [McConfig(seed=seed, samples=20000) for seed in (1, 2, 3)]
-        capacity.open_bank(scn, mcs[0], plan)
-        # c3 reads sr only, so the worker still has sd, rd and rd2 to draw.
-        capacity.estimate_c3(scn, 1.0, mcs[0])
-        assert threading.active_count() == threads + 1
-        capacity.open_bank(scn, mcs[1], plan)
-        capacity.estimate_c3(scn, 1.0, mcs[1])
-        first, second = (bank._reader._worker for bank in banks)
-        assert not first.is_alive() and second.is_alive()
-        assert threading.active_count() == threads + 1
-        capacity.release_bank()
-        assert not second.is_alive()
-        assert threading.active_count() == threads
-        # A probe on another key replaces a planned bank with an unplanned
-        # one, which draws on the main thread.
-        capacity.open_bank(scn, mcs[0], plan)
-        capacity.estimate_c3(scn, 1.0, mcs[2])
-        assert not banks[2]._reader._worker.is_alive()
-        assert banks[3]._reader is None
-        assert threading.active_count() == threads
-
-    def test_worker_exception_surfaces(self, threads, monkeypatch):
-        raised = []
-
-        class Failing(np.random.Generator):
-            # Fails on the third chunk: rd's, one chunk per link.
-            def standard_normal(self, *args, **kwargs):
-                if len(raised) == 2:
-                    raised.append(RuntimeError("draw failed"))
-                    raise raised[-1]
-                raised.append(None)
-                return super().standard_normal(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Generator", Failing)
-        scn, mc = ScenarioConfig(), McConfig(samples=300)
-        capacity.open_bank(scn, mc, ("c3", "c2", "coop"))
-        within(10, lambda: capacity.estimate_c3(scn, 1.0, mc))
-        for _ in range(2):
-            with pytest.raises(RuntimeError) as err:
-                within(10, lambda: capacity.estimate_c2(scn, 1.0, 0.5, mc))
-            assert err.value is raised[2]
+    @pytest.mark.parametrize("command,config,key", [
+        ("coop", "L=1", "L"), ("coop", "metric=cutset", "metric"),
+        ("optloc", "sweep_start=0", "sweep_start")])
+    def test_exit_before_first_probe_builds_no_bank(self, command, config, key,
+                                                    banks, draws, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"samples=400\n{config}\n")
+        out = tmp_path / "o.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == key
+        assert banks == [] and draws == []
+        assert not out.exists()

@@ -255,13 +255,13 @@ class TestDeterminism:
         b = estimate_c3(scn, 1.0, McConfig(seed=2, samples=2000))
         assert a.mean != b.mean
 
-    def test_common_draws_across_estimators(self):
+    def test_common_draws_across_estimators(self, monkeypatch):
         # estimate_c3 and the joint sampler consume the same stream prefix,
         # so their per-sample relay-link rates coincide exactly.
         scn = ScenarioConfig()
         mc = McConfig(samples=3000)
         c3 = estimate_c3(scn, 0.9, mc)._values
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_bank", None)
         s = sample_bound_realizations(scn, r_R=0.9, r_D=1.2, r_DR=0.8, mc=mc)
         assert np.array_equal(c3, s.c3)
 
@@ -350,8 +350,8 @@ class TestStdErrorOnFirstRead:
             return std(*args, **kwargs)
 
         monkeypatch.setattr(np, "std", counting_std)
-        yield calls
-        capacity.release_bank()
+        monkeypatch.setattr(capacity, "_bank", None)
+        return calls
 
     def test_coverage_boundary(self, std_calls):
         region = coverage.coverage_boundary(

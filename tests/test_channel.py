@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaycov import channel
+from relaycov import channel, matrixkit
 from relaycov.channel import (
     FadingModel,
     LosPrototype,
@@ -9,13 +9,18 @@ from relaycov.channel import (
     UnsupportedSizeError,
     relay_dest_distance,
     resolve_los,
-    sample_link_batch,
     sector_of,
 )
 
 
 def make_rng(seed=7):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def draw_link(model, n, rows, cols, rng):
+    """n unit-distance draws of one link, as a channel bank makes them."""
+    return channel.apply_fading(
+        model, matrixkit.sample_complex_gaussian_batch(n, rows, cols, rng))
 
 
 class TestResolveLos:
@@ -62,24 +67,24 @@ class TestFadingModel:
         # Rician with K = 0 consumes the stream identically and keeps only
         # the scattered term, so the draws match bit for bit.
         rician0 = FadingModel.rician(0.0, LosPrototype.poorly_conditioned())
-        a = sample_link_batch(FadingModel.rayleigh(), 100, 2, 2, make_rng(3))
-        b = sample_link_batch(rician0, 100, 2, 2, make_rng(3))
+        a = draw_link(FadingModel.rayleigh(), 100, 2, 2, make_rng(3))
+        b = draw_link(rician0, 100, 2, 2, make_rng(3))
         assert np.array_equal(a, b)
 
 
 class TestSampleLink:
     def test_rayleigh_unit_distance_power(self):
-        H = sample_link_batch(FadingModel.rayleigh(), 100_000, 2, 2, make_rng(5))
+        H = draw_link(FadingModel.rayleigh(), 100_000, 2, 2, make_rng(5))
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_pure_los_limit(self):
         model = FadingModel.rician(1e9, LosPrototype.poorly_conditioned())
-        H = sample_link_batch(model, 3, 2, 2, make_rng(7))
+        H = draw_link(model, 3, 2, 2, make_rng(7))
         assert np.max(np.abs(H - np.ones((2, 2)))) < 1e-4
 
     def test_rician_unit_mean_power(self):
         model = FadingModel.rician(5.0, LosPrototype.well_conditioned())
-        H = sample_link_batch(model, 100_000, 2, 2, make_rng(13))
+        H = draw_link(model, 100_000, 2, 2, make_rng(13))
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("model,rows,cols", [
@@ -95,7 +100,7 @@ class TestSampleLink:
             k = model.k_factor
             expected = (np.sqrt(k / (k + 1.0)) * resolve_los(model.los, rows, cols)
                         + np.sqrt(1.0 / (k + 1.0)) * expected)
-        H = sample_link_batch(model, n, rows, cols, make_rng(21))
+        H = draw_link(model, n, rows, cols, make_rng(21))
         assert H.dtype == np.complex128 and H.shape == (n, rows, cols)
         assert H.flags.c_contiguous
         assert np.array_equal(H, expected)

@@ -136,11 +136,10 @@ def scenarios(draw):
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), DISTANCE, DISTANCE, DISTANCE, st.integers(0, 2**32))
 def test_cutset_at_least_df_per_realization(scn, r_R, r_D, r_DR, seed):
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_bank", None)
         s = capacity.sample_bound_realizations(
             scn, r_R, r_D, r_DR, McConfig(seed=seed, samples=64))
-    finally:
-        capacity.release_bank()
     # At two transmit antennas c1 adds sd's terms to c3's determinant, so
     # the ordering is exact; the Cholesky route factors two matrices.
     slack = 0.0 if scn.N_s == 2 else 1e-12
@@ -170,9 +169,8 @@ def test_c3_nonincreasing_in_relay_radius(N_s, M_r, los, near, far, seed):
               else FadingModel.rayleigh())
     scn = ScenarioConfig(N_s=N_s, M_r=M_r, fading_sr=fading)
     mc = McConfig(seed=seed, samples=64)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_bank", None)
         c3_near = capacity.estimate_c3(scn, near, mc)._values
         c3_far = capacity.estimate_c3(scn, far, mc)._values
-    finally:
-        capacity.release_bank()
     assert np.all(c3_far <= c3_near + 1e-12)

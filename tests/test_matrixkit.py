@@ -107,8 +107,8 @@ class TestGram:
         # estimators' weighted Gram sums, on either side, must already be
         # Hermitian to the last bit.
         rng = make_rng(31)
-        Hs = [channel.sample_link_batch(model, 500, size, size, rng)
-              for _ in range(3)]
+        Hs = [channel.apply_fading(model, matrixkit.sample_complex_gaussian_batch(
+            500, size, size, rng)) for _ in range(3)]
         for view in (lambda H: H, lambda H: np.swapaxes(H, -1, -2)):
             G1, G2, G3 = (matrixkit.gram(view(H)) for H in Hs)
             two = 3.7 * G1 + 0.0123 * G2

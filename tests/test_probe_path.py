@@ -27,11 +27,10 @@ FADINGS = {"rayleigh": FadingModel.rayleigh(), "rician-poor": rician("poor"),
 
 
 @pytest.fixture(params=sorted(FADINGS))
-def scn(request):
+def scn(request, monkeypatch):
     model = FADINGS[request.param]
-    capacity.release_bank()
-    yield ScenarioConfig(fading_sr=model, fading_sd=model, fading_rd=model)
-    capacity.release_bank()
+    monkeypatch.setattr(capacity, "_bank", None)
+    return ScenarioConfig(fading_sr=model, fading_sd=model, fading_rd=model)
 
 
 def old_formulas(scn, mc, r_R, r_D, r_DR, r_DR2):
@@ -105,9 +104,9 @@ class TestBitEqualToOutOfPlace:
                     np.minimum(old["c3"], coop))
 
 
-def test_later_probes_leave_handed_out_arrays_untouched():
+def test_later_probes_leave_handed_out_arrays_untouched(monkeypatch):
     scn, mc = ScenarioConfig(), McConfig(samples=2000)
-    capacity.release_bank()
+    monkeypatch.setattr(capacity, "_bank", None)
     s = capacity.sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
     coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)._values
     memo = capacity.estimate_c3(scn, 0.9, mc)._values
@@ -126,7 +125,6 @@ def test_later_probes_leave_handed_out_arrays_untouched():
     assert np.array_equal(memo, kept_memo)
     for name, values in kept.items():
         assert np.array_equal(handed_out[name], values), name
-    capacity.release_bank()
 
 
 def peak_arrays(probe, *args) -> float:
@@ -145,15 +143,12 @@ def peak_arrays(probe, *args) -> float:
 @pytest.mark.parametrize("probe,limit", [
     (capacity.df_rate, 1.1), (cooperation.coop_df_rate, 1.1),
     (capacity.cutset_bound, 2.1)], ids=["df", "coop", "cutset"])
-def test_peak_memory_per_probe(probe, limit):
+def test_peak_memory_per_probe(probe, limit, monkeypatch):
     scn, mc = ScenarioConfig(), McConfig(samples=N)
-    capacity.release_bank()
-    try:
-        # Warm the bank: draws, coefficient rows, scratch row and c3 memo.
-        probe(scn, NetworkGeometry(0.9, 4, 1.0, 0.2), mc)
-        peak = peak_arrays(probe, scn, NetworkGeometry(0.9, 4, 1.7, 0.2), mc)
-    finally:
-        capacity.release_bank()
+    monkeypatch.setattr(capacity, "_bank", None)
+    # Warm the bank: draws, coefficient rows, scratch row and c3 memo.
+    probe(scn, NetworkGeometry(0.9, 4, 1.0, 0.2), mc)
+    peak = peak_arrays(probe, scn, NetworkGeometry(0.9, 4, 1.7, 0.2), mc)
     assert peak <= limit
 
 
