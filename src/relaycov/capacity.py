@@ -17,8 +17,8 @@ _LN2 = math.log(2.0)
 # digamma(1) = -(Euler-Mascheroni constant), 15 significant digits.
 PSI_ONE = -0.577215664901533
 
-# Canonical draw order. The stored link draws are drawn in this order, so
-# per-sample realizations are aligned across estimators sharing a seed.
+# Canonical draw order. A bank draws its links in this order, so per-sample
+# realizations are aligned across estimators sharing a seed.
 _LINK_ORDER = ("sr", "sd", "rd", "rd2")
 
 # Each cut ChannelBank._logdet evaluates: its Gram side ("tx" is H^dagger
@@ -33,7 +33,7 @@ _CUTS = {
 }
 
 # Samples per packing chunk: a Rician link's chunk is a fresh copy of its
-# stored draws, so this bounds the copy.
+# draws, so this bounds the copy.
 _CHUNK = 4096
 
 
@@ -179,50 +179,28 @@ def _philox(mc: McConfig) -> np.random.Generator:
         key=np.array([mc.seed & _MASK64, 0], dtype=np.uint64)))
 
 
-class _LinkDraws:
-    """Unit-distance CN(0, 1) draws of every link for one McConfig and set
-    of link shapes, the key, from a Philox generator of its own keyed by
-    (seed, 0): the one source of draws for every channel bank. Fading
-    models, powers, alpha and R_c are not part of the key: fading mixes in
-    out of place (channel.apply_fading). Each link is drawn whole the first
-    time it is read, with every link before it in the canonical order, so
-    the arrays equal one draw of the links in turn whatever is read first;
-    each is read-only.
-    """
-
-    def __init__(self, mc: McConfig, shapes: tuple[tuple[int, int], ...]):
-        self.key = (mc, shapes)
-        self._samples = mc.samples
-        self._shapes = dict(zip(_LINK_ORDER, shapes))
-        self._rng = _philox(mc)
-        self._links: dict[str, np.ndarray] = {}
-
-    def link(self, name: str) -> np.ndarray:
-        """The (samples, rows, cols) draws of one link, read-only."""
-        for lk in _LINK_ORDER[len(self._links):_LINK_ORDER.index(name) + 1]:
-            h = matrixkit.sample_complex_gaussian_batch(
-                self._samples, *self._shapes[lk], self._rng)
-            h.flags.writeable = False
-            self._links[lk] = h
-        return self._links[name]
-
-
 class ChannelBank:
-    """Unit-distance channel statistics for one scenario and McConfig.
+    """Unit-distance channel draws and statistics for one McConfig and set
+    of link shapes, the key.
 
     Channel draws do not depend on a probe's geometry, so a bank serves
-    every probe on the same antenna shapes, fading models and McConfig.
+    every probe on its key. It owns a Philox generator keyed by (seed, 0)
+    and draws each link's CN(0, 1) samples whole the first time they are
+    read, with every link before it in the order sr, sd, rd, rd2, so
+    realizations do not depend on which bound was asked for first. Fading
+    models, powers, alpha and R_c are not part of the key: the draws are
+    read-only, and a (link, side) Gram is packed from them the first time a
+    cut reads it, _CHUNK samples at a time, mixing in a Rician link's LOS
+    term out of place (channel.apply_fading), so a bank packs only the
+    Grams its probes read.
 
-    A bank reads the process's stored link draws for its McConfig and link
-    shapes (_draws_for), which draw sr, sd, rd, rd2 in turn, so
-    realizations do not depend on which bound was asked for first. A
-    (link, side) Gram is packed from them the first time a cut reads it,
-    _CHUNK samples at a time, mixing in a Rician link's LOS term in a fresh
-    chunk, so a bank packs only the Grams its probes read. The bank keeps
-    those per-sample Gram matrices (their packed entries when that side has
-    two antennas), the statistics its log-dets build from them on first use
-    (quadratic-form coefficient rows, or one Gram's eigenvalues), the last
-    c3 array it computed, and one scratch row.
+    The bank keeps those per-sample Gram matrices (their packed entries
+    when that side has two antennas), the statistics its log-dets build
+    from them on first use (quadratic-form coefficient rows, or one Gram's
+    eigenvalues), the last c3 array it computed, and one scratch row. All
+    but the scratch row are read-only. They hold for the fading models the
+    bank serves, compared by value, and are dropped only when those change
+    (serve), so a run that repeats a scenario draws and packs nothing.
 
     Each cut takes the scaled powers a = (P/N) d^-alpha of its links and
     is one call of _logdet. c1 and c3 are the source's cuts on
@@ -234,26 +212,48 @@ class ChannelBank:
 
     def __init__(self, scn: ScenarioConfig, mc: McConfig):
         self.key = _bank_key(scn, mc)
-        self.scn, self.mc = scn, mc
-        self._models = _link_models(scn)
-        self._draws = _draws_for(scn, mc)
-        self._grams: dict[tuple[str, str], np.ndarray] = {}
-        self._stats: dict[tuple, np.ndarray] = {}
-        self._c3: tuple[float, np.ndarray] | None = None
+        self._shapes = _link_shapes(scn)
+        self._rng = _philox(mc)
+        self._links: dict[str, np.ndarray] = {}
+        self._models: dict[str, FadingModel] | None = None
         self._scratch: np.ndarray | None = None
+        self.serve(scn, mc)
+
+    def serve(self, scn: ScenarioConfig, mc: McConfig) -> None:
+        """Serve the probes of scn and mc, on the bank's key: the Grams,
+        statistics and c3 memo are kept when scn's fading models equal the
+        served ones, else dropped. The draws are kept either way."""
+        models = _link_models(scn)
+        if models != self._models:
+            self._models = models
+            self._grams: dict[tuple[str, str], np.ndarray] = {}
+            self._stats: dict[tuple, np.ndarray] = {}
+            self._c3: tuple[float, np.ndarray] | None = None
+        self.scn, self.mc = scn, mc
+
+    def link(self, name: str) -> np.ndarray:
+        """The (samples, rows, cols) draws of one link, read-only."""
+        for lk in _LINK_ORDER[len(self._links):_LINK_ORDER.index(name) + 1]:
+            h = matrixkit.sample_complex_gaussian_batch(
+                self.mc.samples, *self._shapes[lk], self._rng)
+            h.flags.writeable = False
+            self._links[lk] = h
+        return self._links[name]
 
     def gram(self, link: str, side: str) -> np.ndarray:
         """Per-sample Gram statistic of a link at unit distance on one side
         ("tx" or "rx"), packed on first read: packed (4, n) entries when
-        that side has two antennas, else an (n, k, k) stack."""
+        that side has two antennas, else an (n, k, k) stack; read-only."""
         if (link, side) not in self._grams:
             # Kept only once whole, so an interrupted packing leaves nothing.
-            self._grams[link, side] = self._pack(link, side)
+            G = self._pack(link, side)
+            G.flags.writeable = False
+            self._grams[link, side] = G
         return self._grams[link, side]
 
     def _pack(self, link: str, side: str) -> np.ndarray:
         n = self.mc.samples
-        stored = self._draws.link(link)
+        stored = self.link(link)
         for start in range(0, n, _CHUNK):
             # Unit distance: path loss is applied per probe.
             H = channel.apply_fading(self._models[link],
@@ -280,7 +280,7 @@ class ChannelBank:
         """What a log-det over the links names (then added) on one side
         reads, built on first use: with two antennas on that side the
         quadratic form's coefficient rows (k, n), else one link's Gram
-        eigenvalues, clamped at 0.
+        eigenvalues, clamped at 0; read-only.
 
         Base rows are the traces, then the determinants, then each pair's
         mixed discriminant, for the monomials a_i, a_i^2, a_i a_j (i < j).
@@ -300,6 +300,7 @@ class ChannelBank:
             else:
                 X = self.gram(added, side)
                 stat = np.stack([X[0] + X[1], det(X)] + [mixed(p, X) for p in P])
+            stat.flags.writeable = False
             self._stats[key] = stat
         return self._stats[key]
 
@@ -369,29 +370,14 @@ class ChannelBank:
 
 
 def _bank_key(scn: ScenarioConfig, mc: McConfig) -> tuple:
-    # Fading models compare by identity, which is enough to share a bank
-    # between the probes of one run.
-    return (mc, tuple(_link_shapes(scn).values()),
-            scn.fading_sr, scn.fading_sd, scn.fading_rd)
+    return (mc, tuple(_link_shapes(scn).values()))
 
 
-# The live bank, a cache: a probe reuses it when its key matches and
-# replaces it otherwise, so at most one bank is alive.
+# The live bank, a cache: a probe reuses it when its key matches, serving
+# the probe's fading models, and replaces it otherwise, so at most one bank
+# is alive. It outlives a run: the next run at the same seed, samples and
+# shapes draws nothing, and packs nothing if its fading models are equal.
 _bank: ChannelBank | None = None
-
-# The stored link draws every bank reads. A bank on another McConfig or set
-# of link shapes replaces them, so at most one set is alive, and they
-# outlive a run: the next run at the same seed, samples and shapes draws
-# nothing.
-_draws: _LinkDraws | None = None
-
-
-def _draws_for(scn: ScenarioConfig, mc: McConfig) -> _LinkDraws:
-    global _draws
-    key = (mc, tuple(_link_shapes(scn).values()))
-    if _draws is None or _draws.key != key:
-        _draws = _LinkDraws(*key)
-    return _draws
 
 
 def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
@@ -400,6 +386,8 @@ def _bank_for(scn: ScenarioConfig, mc: McConfig) -> ChannelBank:
         return _bank
     if _bank is None or _bank.key != _bank_key(scn, mc):
         _bank = ChannelBank(scn, mc)
+    else:
+        _bank.serve(scn, mc)
     return _bank
 
 

@@ -22,7 +22,7 @@ class UnsupportedSizeError(ValueError):
     """Built-in LOS prototype requested at a size it cannot be built for."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LosPrototype:
     """Normalized line-of-sight matrix prototype.
 
@@ -45,7 +45,7 @@ class LosPrototype:
         return cls("well")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FadingModel:
     """Fading of one link: Rayleigh, or Rician with a fixed LOS component.
 

@@ -488,18 +488,29 @@ _RUNNERS = {
 def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns 0 iff all requested outputs exist.
 
-    The run's probes share one channel bank, built by the first of them
-    (capacity._bank_for), so a run that exits before its first probe
-    builds no bank and draws nothing. The bank packs each Gram its cuts
-    read from the process's stored link draws, on this thread. The stored
-    draws outlive the run, so a later run at the same seed, sample count
-    and antenna shapes, whatever its fading models, draws nothing. A CSV path whose directory is missing raises
-    FileNotFoundError before the runner starts.
+    The run's probes share the process's one channel bank
+    (capacity._bank_for), built or served by the first of them, so a run
+    that exits before its first probe draws nothing. The bank outlives the
+    run: a later run at the same seed, sample count and antenna shapes
+    draws nothing, and one whose fading models are also equal by value
+    packs nothing.
+
+    Before the runner starts, a CSV path ending in .json with emit_json
+    set (the dataset would overwrite the CSV) raises ConfigError naming
+    out, and a CSV path whose directory is missing, or that is itself a
+    directory, raises OSError.
     """
     t0 = time.perf_counter()
     csv_path = Path(manifest.output_path or f"{manifest.command}.csv")
+    if manifest.emit_json and csv_path.suffix == ".json":
+        raise ConfigError("validation", "out",
+                          f"out={csv_path} is where the --json dataset goes; "
+                          f"give the CSV another suffix")
     if not csv_path.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                str(csv_path))
+    if csv_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                 str(csv_path))
     header, rows, extras = _RUNNERS[manifest.command](manifest)
     _write_csv(csv_path, header, rows)

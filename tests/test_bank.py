@@ -1,6 +1,7 @@
 """Channel bank: brute-force oracles for the cached statistics, the 2x2
 quadratic form against the Cholesky route, the c3 memo, and draw counts."""
 
+import copy
 import json
 import math
 import threading
@@ -149,7 +150,7 @@ class TestClosedForm:
 @pytest.fixture
 def draws(monkeypatch):
     """Shapes (n, rows, cols) of every Gaussian batch drawn, starting with
-    no bank and no stored draws."""
+    no bank."""
     calls = []
     real = matrixkit.sample_complex_gaussian_batch
 
@@ -158,7 +159,6 @@ def draws(monkeypatch):
         return real(n, rows, cols, rng)
 
     monkeypatch.setattr(matrixkit, "sample_complex_gaussian_batch", counting)
-    monkeypatch.setattr(capacity, "_draws", None)
     monkeypatch.setattr(capacity, "_bank", None)
     return calls
 
@@ -228,7 +228,7 @@ class TestLinkStore:
         stored = [self.optloc(tmp_path, fading) for fading in SCAN_FADINGS]
         assert draws == [(500, 2, 2)]
         for fading, csv in zip(SCAN_FADINGS, stored):
-            monkeypatch.setattr(capacity, "_draws", None)
+            monkeypatch.setattr(capacity, "_bank", None)
             assert self.optloc(tmp_path, fading) == csv, fading
         assert len(draws) == 1 + len(SCAN_FADINGS)
 
@@ -236,19 +236,19 @@ class TestLinkStore:
         "seed=7", "samples=400", "N_s=1", "N_r=1", "M_r=3", "M_d=3"])
     def test_another_key_draws_afresh(self, change, draws, tmp_path):
         self.optloc(tmp_path, "rayleigh")
-        first = capacity._draws.key
+        first = capacity._bank.key
         self.optloc(tmp_path, "rayleigh", change + "\n")
-        assert len(draws) == 2 and capacity._draws.key != first
+        assert len(draws) == 2 and capacity._bank.key != first
 
     def test_stored_draws_are_read_only(self, draws, tmp_path):
         self.optloc(tmp_path, "rayleigh")
-        h = capacity._draws.link("sr")
+        h = capacity._bank.link("sr")
         kept = h.copy()
         with pytest.raises(ValueError):
             h[0] = 0.0
         for fading in SCAN_FADINGS[1:3]:
             self.optloc(tmp_path, fading)
-        assert capacity._draws.link("sr") is h
+        assert capacity._bank.link("sr") is h
         assert np.array_equal(h, kept)
         assert len(draws) == 1
 
@@ -268,8 +268,55 @@ class TestLinkStore:
         shared = [run(command) for command in commands]
         assert draws == [(400, 3, 1), (400, 2, 1), (400, 2, 2), (400, 2, 2)]
         for command, csv in zip(commands, shared):
-            monkeypatch.setattr(capacity, "_draws", None)
+            monkeypatch.setattr(capacity, "_bank", None)
             assert run(command) == csv, command
+
+    def test_repeated_coop_draws_and_packs_nothing(self, draws, tmp_path,
+                                                   monkeypatch):
+        # Each run parses fading models of its own; equal by value, they
+        # find the last run's bank whole.
+        packs = []
+        pack = matrixkit.gram_entries_2x2
+
+        def counting(M):
+            packs.append(len(M))
+            return pack(M)
+
+        monkeypatch.setattr(matrixkit, "gram_entries_2x2", counting)
+        cfg = tmp_path / "coop.cfg"
+        cfg.write_text("samples=400\nangular_steps=16\n")
+        out = tmp_path / "o.csv"
+        argv = ["coop", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 0
+        first = out.read_bytes()
+        assert len(draws) == 4 and len(packs) == 4
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == first
+        assert len(draws) == 4 and len(packs) == 4
+
+    def test_another_fading_repacks_sr_only(self, draws, tmp_path, capsys):
+        config = cli.parse_config("samples=500\nangular_steps=16\n")
+        assert cli.run(replace(config, command="coop",
+                               output_path=str(tmp_path / "c.csv"))) == 0
+        bank = capacity._bank
+        assert len(bank._grams) == 4 and len(draws) == 4
+        self.optloc(tmp_path, SCAN_FADINGS[1])
+        assert capacity._bank is bank and len(draws) == 4
+        assert list(bank._grams) == [("sr", "tx")]
+
+    def test_grams_and_rows_are_read_only(self, draws, tmp_path, capsys):
+        for command in ("coop", "bounds"):
+            config = cli.parse_config("samples=400\nangular_steps=16\n"
+                                      "sweep_points=3\nN_s=3\nM_r=3\n")
+            assert cli.run(replace(config, command=command,
+                                   output_path=str(tmp_path / "o.csv"))) == 0
+        arrays = capacity._bank._grams | capacity._bank._stats
+        assert {G.ndim for G in arrays.values()} == {2, 3}
+        for G in arrays.values():
+            with pytest.raises(ValueError):
+                G[0] = 0.0
+            with pytest.raises(ValueError):
+                G += 1.0
 
 
 @pytest.fixture
@@ -358,17 +405,19 @@ class TestReadAhead:
     def test_planned_draws_match_oracle(self, name, samples, draws):
         scn = ScenarioConfig(**SCENARIOS[name])
         mc = McConfig(seed=7, samples=samples)
-        bank = capacity.ChannelBank(scn, mc)
+        bank = capacity._bank_for(scn, mc)
         H = oracle_links(scn, mc)
         for link, side in ALL_GRAMS:
             want = oracle_gram(H[link], side)
             assert np.array_equal(bank.gram(link, side), want), (link, side)
-        # Another bank on the same key packs the same Grams from the same
-        # stored draws.
-        again = capacity.ChannelBank(scn, mc)
+        # A value-equal scenario and McConfig, with fading models of their
+        # own, are served by the same bank with the same Grams.
+        grams = dict(bank._grams)
+        again = capacity._bank_for(copy.deepcopy(scn), McConfig(seed=7,
+                                                                samples=samples))
+        assert again is bank
         for link, side in ALL_GRAMS:
-            assert np.array_equal(again.gram(link, side),
-                                  bank.gram(link, side)), (link, side)
+            assert again.gram(link, side) is grams[link, side], (link, side)
         assert len(draws) == 4
 
     def test_interrupted_packing_keeps_no_gram(self, draws, monkeypatch):
@@ -396,7 +445,6 @@ class TestReadAhead:
         scn, mc = ScenarioConfig(N_s=1, M_r=3), McConfig(seed=5, samples=9000)
         coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
         late = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
-        monkeypatch.setattr(capacity, "_draws", None)
         monkeypatch.setattr(capacity, "_bank", None)
         fresh = sample_bound_realizations(scn, 0.9, 1.3, 0.7, mc)
         fresh_coop = cooperation.estimate_coop_sum_rate(scn, 1.3, 0.7, 1.6, mc)
